@@ -25,14 +25,7 @@ from .copositivity import (
     classify,
     direct_witness_search,
 )
-from .eigen import (
-    EigenPair,
-    SolverConfig,
-    residual,
-    solve_h_interior,
-    solve_interior,
-    solve_z_interior,
-)
+from .eigen import EigenPair, SolverConfig, residual, solve_interior
 from .fixtures import EXAMPLES, grouped_quartic, parametric_quartic, shifted_cubic
 from .minimize import MinimizeResult, grid_lower_bound, kkt_residual, minimize
 from .spectrum import (
@@ -91,9 +84,7 @@ __all__ = [
     "residual",
     "serialize_document",
     "shifted_cubic",
-    "solve_h_interior",
     "solve_interior",
-    "solve_z_interior",
     "tensor_to_document",
     "verify_pareto_pair",
 ]

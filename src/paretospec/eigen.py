@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .tensor import Tensor, knorm
-
-Kind = Literal["H", "Z"]
+from .tensor import Kind, Sphere, Tensor
 
 # Two pairs are duplicates when their values differ by at most the value
 # dedup tolerance and their vectors by at most this much in infinity norm.
@@ -102,25 +99,13 @@ def residual(t: Tensor, pair: EigenPair) -> float:
 
     Covers both the eigenvalue equation and the unit normalization row.
     """
-    w = np.asarray(pair.vector, dtype=np.float64)
-    m = t.order
-    r = t.apply_contract(w) - pair.value * _rhs_single(pair.kind, m, w)
-    return float(max(np.abs(r).max(initial=0.0), abs(_level_single(pair.kind, m, w) - 1.0)))
-
-
-def solve_h_interior(t: Tensor, config: SolverConfig | None = None) -> list[EigenPair]:
-    """All interior H-pairs found for `t`, deduplicated and sorted."""
-    return solve_interior(t, "H", config)
-
-
-def solve_z_interior(t: Tensor, config: SolverConfig | None = None) -> list[EigenPair]:
-    """All interior Z-pairs found for `t`, deduplicated and sorted."""
-    return solve_interior(t, "Z", config)
+    W = np.asarray(pair.vector, dtype=np.float64)[None, :]
+    return float(np.abs(_system_eval(t, Sphere(pair.kind, t.order), W, np.array([pair.value]))).max())
 
 
 def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> list[EigenPair]:
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    """All interior pairs of the kind found for `t`, deduplicated and sorted."""
+    sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     if t.dim == 1:
         a = t.slices.get((0, (0,) * (t.order - 1)), 0.0)
@@ -128,76 +113,44 @@ def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) ->
     if t.order == 2:
         cands = _matrix_candidates(t, cfg)
     elif t.is_diagonal():
-        cands = _diagonal_candidates(t, kind)
+        cands = _diagonal_candidates(t, sph)
     else:
-        cands = _newton_candidates(t, kind, cfg)
-    return _finalize(t, kind, cands, cfg)
+        cands = _newton_candidates(t, sph, cfg)
+    return _finalize(t, sph, cands, cfg)
 
 
-def solved_exhaustively(t: Tensor) -> bool:
-    """True when solve_interior enumerates every interior pair, not a heuristic subset."""
-    return t.dim == 1 or t.order == 2
+def solved_exhaustively(t: Tensor, kind: Kind) -> bool:
+    """True when solve_interior returns every interior pair, not a heuristic subset.
+
+    Mirrors its dispatch: dimension 1, order 2 and diagonal tensors are
+    solved exactly.  A diagonal tensor of dimension >= 2 whose interior
+    pairs form a positive-dimensional family gets one representative, so it
+    withdraws the claim: all entries equal on the m-norm sphere (H), all
+    entries zero on any sphere.
+    """
+    if t.dim == 1 or t.order == 2:
+        return True
+    if not t.is_diagonal():
+        return False
+    d = t.diagonal_entries()
+    family_value = d[0] if Sphere(kind, t.order).k == t.order else 0.0
+    return not bool(np.all(d == family_value))
 
 
-# -- kind-specific pieces ---------------------------------------------------
-
-
-def _rhs_batch(kind: Kind, m: int, W: np.ndarray) -> np.ndarray:
-    """Right-hand side g(w) with B w^{m-1} = value * g(w); batched rows."""
-    if kind == "H":
-        return W ** (m - 1)
-    q = np.einsum("bi,bi->b", W, W)
-    return (q ** ((m - 2) / 2.0))[:, None] * W
-
-
-def _rhs_single(kind: Kind, m: int, w: np.ndarray) -> np.ndarray:
-    return _rhs_batch(kind, m, w[None, :])[0]
-
-
-def _level_batch(kind: Kind, m: int, W: np.ndarray) -> np.ndarray:
-    """Normalization level h(w); the solved system pins h(w) = 1."""
-    if kind == "H":
-        return np.sum(W**m, axis=1)
-    return np.einsum("bi,bi->b", W, W)
-
-
-def _level_single(kind: Kind, m: int, w: np.ndarray) -> float:
-    return float(_level_batch(kind, m, w[None, :])[0])
-
-
-def _normalize_rows(kind: Kind, m: int, W: np.ndarray) -> np.ndarray:
-    k = float(m) if kind == "H" else 2.0
-    nr = np.sum(np.abs(W) ** k, axis=1) ** (1.0 / k)
-    return W / nr[:, None]
-
-
-def _system_eval(t: Tensor, kind: Kind, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Stacked residual F(w, value): eigen rows then the normalization row."""
-    m = t.order
     F = np.empty((W.shape[0], t.dim + 1))
-    F[:, : t.dim] = t.contract_batch(W) - L[:, None] * _rhs_batch(kind, m, W)
-    F[:, t.dim] = _level_batch(kind, m, W) - 1.0
+    F[:, : t.dim] = t.contract_batch(W) - L[:, None] * sph.rhs(W)
+    F[:, t.dim] = sph.level(W) - 1.0
     return F
 
 
-def _system_jac(t: Tensor, kind: Kind, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
     B, d = W.shape
-    m = t.order
     J = np.zeros((B, d + 1, d + 1))
-    Jc = t.contract_jacobian_batch(W)
-    if kind == "H":
-        Jg = np.zeros((B, d, d))
-        Jg[:, np.arange(d), np.arange(d)] = (m - 1) * W ** (m - 2)
-        dh = m * W ** (m - 1)
-    else:
-        q = np.einsum("bi,bi->b", W, W)
-        outer = W[:, :, None] * W[:, None, :]
-        Jg = (m - 2) * (q ** ((m - 4) / 2.0))[:, None, None] * outer
-        Jg[:, np.arange(d), np.arange(d)] += (q ** ((m - 2) / 2.0))[:, None]
-        dh = 2.0 * W
-    J[:, :d, :d] = Jc - L[:, None, None] * Jg
-    J[:, :d, d] = -_rhs_batch(kind, m, W)
-    J[:, d, :d] = dh
+    J[:, :d, :d] = t.contract_jacobian_batch(W) - L[:, None, None] * sph.rhs_jacobian(W)
+    J[:, :d, d] = -sph.rhs(W)
+    J[:, d, :d] = sph.k * W ** (sph.k - 1)
     return J
 
 
@@ -227,18 +180,18 @@ def _matrix_candidates(t: Tensor, cfg: SolverConfig) -> list[tuple[float, np.nda
     return out
 
 
-def _diagonal_candidates(t: Tensor, kind: Kind) -> list[tuple[float, np.ndarray]]:
+def _diagonal_candidates(t: Tensor, sph: Sphere) -> list[tuple[float, np.ndarray]]:
     """Diagonal tensors of order >= 3; exact interior pairs or none.
 
     On a strictly positive vector the i-th eigen row reads d_i w_i^{m-1} =
-    value * g_i(w).  For H this forces d_i = lambda for every i, so pairs
+    value * rhs_i(w).  For H this forces d_i = lambda for every i, so pairs
     exist only when all diagonal entries coincide.  For Z it forces
     d_i w_i^{m-2} = mu for all i, solvable exactly when the entries share a
     strict sign, with w_i proportional to |d_i|^(-1/(m-2)).
     """
     d = t.diagonal_entries()
     m = t.order
-    if kind == "H":
+    if sph.k == m:  # H
         if np.all(d == d[0]):
             w = np.full(t.dim, t.dim ** (-1.0 / m))
             return [(float(d[0]), w)]
@@ -271,18 +224,18 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     return s
 
 
-def _newton_candidates(t: Tensor, kind: Kind, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
-    d, m = t.dim, t.order
+def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
+    d = t.dim
     B = cfg.resolve_starts(d)
     rng = np.random.default_rng(cfg.seed)
-    W = _normalize_rows(kind, m, rng.uniform(0.1, 1.0, size=(B, d)))
+    W = sph.normalize(rng.uniform(0.1, 1.0, size=(B, d)))
     L = t.apply_full_batch(W)
     alive = np.ones(B, dtype=bool)
     done = np.zeros(B, dtype=bool)
     streak = np.zeros(B, dtype=np.int64)
 
     with np.errstate(all="ignore"):
-        Fnorm = np.abs(_system_eval(t, kind, W, L)).max(axis=1)
+        Fnorm = np.abs(_system_eval(t, sph, W, L)).max(axis=1)
         best_seen = Fnorm.copy()
         done |= Fnorm <= cfg.tol
         for _ in range(cfg.max_iters):
@@ -290,8 +243,8 @@ def _newton_candidates(t: Tensor, kind: Kind, cfg: SolverConfig) -> list[tuple[f
             if act.size == 0:
                 break
             Wa, La = W[act], L[act]
-            F = _system_eval(t, kind, Wa, La)
-            J = _system_jac(t, kind, Wa, La)
+            F = _system_eval(t, sph, Wa, La)
+            J = _system_jac(t, sph, Wa, La)
             step = _solve_steps(J, F)
             bad = ~np.isfinite(step).all(axis=1)
             base = Fnorm[act]
@@ -304,7 +257,7 @@ def _newton_candidates(t: Tensor, kind: Kind, cfg: SolverConfig) -> list[tuple[f
                     break
                 tW = Wa[pend] + alpha[pend, None] * step[pend, :d]
                 tL = La[pend] + alpha[pend] * step[pend, d]
-                tF = _system_eval(t, kind, tW, tL)
+                tF = _system_eval(t, sph, tW, tL)
                 tn = np.abs(tF).max(axis=1)
                 ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha[pend]) * base[pend])
                 hit = pend[ok]
@@ -328,17 +281,17 @@ def _newton_candidates(t: Tensor, kind: Kind, cfg: SolverConfig) -> list[tuple[f
     return [(float(L[r]), W[r].copy()) for r in roots]
 
 
-def _polish(t: Tensor, kind: Kind, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A couple of undamped Newton steps to tighten renormalized roots."""
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_STEPS):
-            F = _system_eval(t, kind, W, L)
-            J = _system_jac(t, kind, W, L)
+            F = _system_eval(t, sph, W, L)
+            J = _system_jac(t, sph, W, L)
             step = _solve_steps(J, F)
             nW = W + step[:, : t.dim]
             nL = L + step[:, t.dim]
             better = np.isfinite(nW).all(axis=1) & np.isfinite(nL)
-            newF = np.abs(_system_eval(t, kind, np.where(better[:, None], nW, W), np.where(better, nL, L))).max(axis=1)
+            newF = np.abs(_system_eval(t, sph, np.where(better[:, None], nW, W), np.where(better, nL, L))).max(axis=1)
             oldF = np.abs(F).max(axis=1)
             take = better & (newF <= oldF)
             W = np.where(take[:, None], nW, W)
@@ -346,23 +299,22 @@ def _polish(t: Tensor, kind: Kind, W: np.ndarray, L: np.ndarray) -> tuple[np.nda
     return W, L
 
 
-def _finalize(t: Tensor, kind: Kind, cands: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> list[EigenPair]:
+def _finalize(t: Tensor, sph: Sphere, cands: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> list[EigenPair]:
     """Positivity filter, exact renormalization, polish, dedup, stable order."""
     if not cands:
         return []
-    m = t.order
     W = np.array([w for _, w in cands])
     L = np.array([v for v, _ in cands])
     interior = W.min(axis=1) > cfg.pos_tol
     W, L = W[interior], L[interior]
     if W.shape[0] == 0:
         return []
-    W = _normalize_rows(kind, m, W)
-    W, L = _polish(t, kind, W, L)
+    W = sph.normalize(W)
+    W, L = _polish(t, sph, W, L)
 
     with np.errstate(all="ignore"):
-        res = np.abs(_system_eval(t, kind, W, L)).max(axis=1)
-        rhs = _rhs_batch(kind, m, W)
+        res = np.abs(_system_eval(t, sph, W, L)).max(axis=1)
+        rhs = sph.rhs(W)
         rows = t.contract_batch(W) - L[:, None] * rhs
         scale = t.contract_magnitude_batch(W) + np.abs(L)[:, None] * np.abs(rhs)
         genuine = (np.abs(rows) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
@@ -379,5 +331,5 @@ def _finalize(t: Tensor, kind: Kind, cands: list[tuple[float, np.ndarray]], cfg:
             for p in pairs
         )
         if not dup:
-            pairs.append(EigenPair(float(L[i]), W[i].copy(), kind, float(res[i])))
+            pairs.append(EigenPair(float(L[i]), W[i].copy(), sph.kind, float(res[i])))
     return pairs

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import Kind
 from .eigen import SolverConfig
-from .tensor import Tensor, knorm
+from .tensor import Kind, Sphere, Tensor, knorm
 
 # Projected-gradient stationarity target (infinity norm).
 PG_TOL = 1e-9
@@ -52,22 +51,14 @@ class MinimizeResult:
     starts_used: int
 
 
-def _norm_exponent(kind: Kind, m: int) -> float:
-    return float(m) if kind == "H" else 2.0
-
-
-def _project(X: np.ndarray, k: float) -> np.ndarray:
-    """Clamp negatives, rescale rows to the unit k-norm sphere.
+def _project(X: np.ndarray, sph: Sphere) -> np.ndarray:
+    """Clamp negatives, rescale rows to the unit sphere.
 
     Rows that clamp to zero have no defined projection; they come back NaN
     and the caller treats them as rejected trial points.
     """
-    C = np.maximum(X, 0.0)
-    nr = np.sum(C**k, axis=1) ** (1.0 / k)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = C / nr[:, None]
-    out[nr == 0.0] = np.nan
-    return out
+        return sph.normalize(np.maximum(X, 0.0))
 
 
 def _tangential_gradient(s: Tensor, X: np.ndarray, m: int, k: float) -> np.ndarray:
@@ -97,8 +88,7 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
     non-symmetric input it may stay large even at a true minimizer of the
     (symmetrized) objective.
     """
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     if not t.symmetric:
         warnings.warn(
@@ -106,11 +96,10 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
             stacklevel=2,
         )
     s = t if t.symmetric else t.symmetrized()
-    m, d = t.order, t.dim
-    k = _norm_exponent(kind, m)
+    m, d, k = t.order, t.dim, sph.k
     B = cfg.resolve_starts(d)
     rng = np.random.default_rng(cfg.seed)
-    X = _project(rng.uniform(0.1, 1.0, size=(B, d)), k)
+    X = _project(rng.uniform(0.1, 1.0, size=(B, d)), sph)
     F = s.apply_full_batch(X)
     active = np.ones(B, dtype=bool)
     # previous iterate and gradient feed the spectral (Barzilai-Borwein)
@@ -125,7 +114,7 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
                 break
             Xa = X[idx]
             G = _tangential_gradient(s, Xa, m, k)
-            stat = Xa - _project(Xa - G, k)
+            stat = Xa - _project(Xa - G, sph)
             stat_norm = np.abs(stat).max(axis=1)
             stat_norm = np.where(np.isfinite(stat_norm), stat_norm, np.inf)
             done = stat_norm <= PG_TOL
@@ -149,7 +138,7 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
                 if pend.size == 0:
                     break
                 lam = (bb[pend] * alpha[pend])[:, None]
-                trial = _project(Xa[pend] - lam * Ga[pend], k)
+                trial = _project(Xa[pend] - lam * Ga[pend], sph)
                 tX = np.nan_to_num(trial, nan=0.0)
                 tF = s.apply_full_batch(tX)
                 finite = np.isfinite(trial).all(axis=1)
@@ -186,27 +175,17 @@ def kkt_residual(t: Tensor, x: np.ndarray, kind: Kind) -> tuple[float, np.ndarra
     max(negative slack part, |x . y_est|).  Zero residual is the KKT system
     of the constrained minimization, i.e. a Pareto eigenpair.
     """
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    sph = Sphere(kind, t.order)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (t.dim,):
         raise ValueError(f"vector shape {x.shape} incompatible with dimension {t.dim}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite entries")
-    m = t.order
-    k = _norm_exponent(kind, m)
-    if x.min() < -_FEAS_TOL or abs(knorm(x, k) - 1.0) > _FEAS_TOL:
+    if x.min() < -_FEAS_TOL or abs(knorm(x, sph.k) - 1.0) > _FEAS_TOL:
         raise ValueError("infeasible point: needs x >= 0 on the unit sphere of the kind")
 
-    if kind == "H":
-        level = float(np.sum(x**m))
-        rhs_vec = x ** (m - 1)
-    else:
-        q = float(x @ x)
-        level = q ** (m / 2.0)
-        rhs_vec = q ** ((m - 2) / 2.0) * x
-    lambda_est = t.apply_full(x) / level
-    y_est = t.apply_contract(x) - lambda_est * rhs_vec
+    lambda_est = t.apply_full(x) / float(sph.level(x)) ** (t.order / sph.k)
+    y_est = t.apply_contract(x) - lambda_est * sph.rhs(x)
     residual = float(max(max(0.0, -y_est.min()), abs(float(x @ y_est))))
     return float(lambda_est), y_est, residual
 
@@ -232,16 +211,12 @@ def grid_lower_bound(t: Tensor, kind: Kind, resolution: int = 64) -> float:
     feasible, so the result can never fall below the true minimum, and for
     fine grids it lands close above it.  Guarded to dimension <= 4.
     """
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    sph = Sphere(kind, t.order)
     if t.dim > _GRID_MAX_DIM:
         raise ValueError(f"grid evaluation limited to dimension {_GRID_MAX_DIM}, got {t.dim}")
     if int(resolution) != resolution or resolution < _GRID_MIN_RESOLUTION:
         raise ValueError(f"resolution must be an integer >= {_GRID_MIN_RESOLUTION}")
-    k = _norm_exponent(kind, t.order)
-    P = _simplex_grid(t.dim, int(resolution))
-    nr = np.sum(P**k, axis=1) ** (1.0 / k)
-    X = P / nr[:, None]
+    X = sph.normalize(_simplex_grid(t.dim, int(resolution)))
     best = np.inf
     for lo in range(0, X.shape[0], 8192):
         vals = t.apply_full_batch(X[lo : lo + 8192])

@@ -21,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (
-    VECTOR_DEDUP_TOL,
-    EigenPair,
-    Kind,
-    SolverConfig,
-    solve_interior,
-    solved_exhaustively,
-)
-from .tensor import Tensor, embed
+from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_interior, solved_exhaustively
+from .tensor import Kind, Sphere, Tensor, embed
 
 DEFAULT_SLACK_TOL = 1e-9
 # 2^16 subsets is the largest enumeration accepted by default.
@@ -101,10 +94,10 @@ def pareto_spectrum(
     Duplicate pairs reachable from several subsets keep the certificate of
     the smallest (then lexicographically first) subset.  The `complete` flag
     is True only when every sub-problem was solved by an exhaustive method
-    (dimension 1 or order 2); any multistart sub-solve withdraws the claim.
+    (see `solved_exhaustively`: dimension 1, order 2, or diagonal without a
+    positive-dimensional family); any multistart sub-solve withdraws the claim.
     """
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    Sphere(kind, t.order)  # rejects an unknown kind before any subset is solved
     if not slack_tol > 0:
         raise ValueError(f"slack_tol must be positive, got {slack_tol}")
     if t.dim > dim_guard:
@@ -118,7 +111,7 @@ def pareto_spectrum(
     for card in range(1, t.dim + 1):
         for subset in itertools.combinations(range(t.dim), card):
             sub = t.principal_subtensor(subset)
-            if not solved_exhaustively(sub):
+            if not solved_exhaustively(sub, kind):
                 complete = False
             for pair in solve_interior(sub, kind, cfg):
                 slacks = complement_slacks(t, subset, pair.vector)
@@ -169,8 +162,7 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
 
     Scale-invariant in y by design of the violations; y must be nonzero.
     """
-    if kind not in ("H", "Z"):
-        raise ValueError(f"kind must be 'H' or 'Z', got {kind!r}")
+    sph = Sphere(kind, t.order)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     y = np.asarray(y, dtype=np.float64)
@@ -180,23 +172,15 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
         raise ValueError("vector has non-finite entries")
     if np.abs(y).max() == 0.0:
         raise ValueError("vector must be nonzero")
-    m = t.order
     value = float(value)
 
     nonneg_violation = float(max(0.0, -y.min()))
 
     lhs = t.apply_full(y)
-    if kind == "H":
-        level = float(np.sum(y**m))
-        rhs_vec = y ** (m - 1)
-    else:
-        q = float(y @ y)
-        level = q ** (m / 2.0)
-        rhs_vec = q ** ((m - 2) / 2.0) * y
-    rhs = value * level
+    rhs = value * float(sph.level(y)) ** (t.order / sph.k)
     value_violation = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
-    slacks = t.apply_contract(y) - value * rhs_vec
+    slacks = t.apply_contract(y) - value * sph.rhs(y)
     slack_violation = float(max(0.0, -slacks.min()))
 
     failed = None

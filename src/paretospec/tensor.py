@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
 SliceKey = tuple[int, tuple[int, ...]]
+Kind = Literal["H", "Z"]
 
 # Relative tolerance used when checking whether stored slices already agree
 # with their symmetrization.
@@ -64,13 +65,13 @@ class Tensor:
     slices: Mapping[SliceKey, float]
     symmetric: bool = False
 
-    # Precomputed evaluation tables, derived from slices in __post_init__.
+    # Evaluation tables derived from slices in __post_init__: row r holds
+    # slice r's lead index, its sorted trailing indices and its coefficient;
+    # _proj scatters per-slice values into their lead components.
     _lead: np.ndarray = field(init=False, repr=False, compare=False)
-    _expo: np.ndarray = field(init=False, repr=False, compare=False)
+    _trail: np.ndarray = field(init=False, repr=False, compare=False)
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _proj: np.ndarray = field(init=False, repr=False, compare=False)
-    _jac_expo: np.ndarray = field(init=False, repr=False, compare=False)
-    _jac_proj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -91,49 +92,25 @@ class Tensor:
                 raise ValueError(f"non-finite coefficient for slice ({lead}, {trail})")
 
         k = len(keys)
-        lead = np.zeros(k, dtype=np.intp)
-        expo = np.zeros((k, n), dtype=np.float64)
-        coef = np.zeros(k, dtype=np.float64)
-        for r, (i, trail) in enumerate(keys):
-            lead[r] = i
-            coef[r] = self.slices[(i, trail)]
-            for j in trail:
-                expo[r, j] += 1.0
+        lead = np.array([i for i, _ in keys], dtype=np.intp)
+        trail = np.array([tr for _, tr in keys], dtype=np.intp).reshape(k, m - 1)
+        coef = np.array([self.slices[key] for key in keys], dtype=np.float64)
         proj = np.zeros((n, k))
         proj[lead, np.arange(k)] = coef
-
-        # Differentiate each monomial coef * prod_j x_j^{expo[r, j]} once per
-        # variable with a positive exponent; rows feed the Jacobian of the
-        # partial contraction.
-        jac_rows: list[np.ndarray] = []
-        jac_lead: list[int] = []
-        jac_col: list[int] = []
-        jac_coef: list[float] = []
-        for r in range(k):
-            for j in range(n):
-                e = expo[r, j]
-                if e > 0:
-                    row = expo[r].copy()
-                    row[j] -= 1.0
-                    jac_rows.append(row)
-                    jac_lead.append(int(lead[r]))
-                    jac_col.append(j)
-                    jac_coef.append(coef[r] * e)
-        k2 = len(jac_rows)
-        jac_expo = np.array(jac_rows) if k2 else np.zeros((0, n))
-        jac_proj = np.zeros((n * n, k2))
-        if k2:
-            flat = np.array(jac_lead, dtype=np.intp) * n + np.array(jac_col, dtype=np.intp)
-            jac_proj[flat, np.arange(k2)] = np.array(jac_coef)
-
         object.__setattr__(self, "_lead", lead)
-        object.__setattr__(self, "_expo", expo)
+        object.__setattr__(self, "_trail", trail)
         object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_proj", proj)
-        object.__setattr__(self, "_jac_expo", jac_expo)
-        object.__setattr__(self, "_jac_proj", jac_proj)
 
     # -- evaluation --------------------------------------------------------
+
+    @staticmethod
+    def _monomials(X: np.ndarray, trail: np.ndarray) -> np.ndarray:
+        """Products of the batch columns named along the last axis of `trail`.
+
+        X is (B, dim); the result has shape (B,) + trail.shape[:-1].
+        """
+        return np.prod(X[:, trail], axis=-1)
 
     def contract_batch(self, X: np.ndarray) -> np.ndarray:
         """Partial contraction A x^{m-1} for a batch of row vectors.
@@ -144,31 +121,29 @@ class Tensor:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"batch shape {X.shape} incompatible with dimension {self.dim}")
-        if self._coef.size == 0:
-            return np.zeros_like(X)
-        mono = np.prod(X[:, None, :] ** self._expo[None, :, :], axis=2)
-        return mono @ self._proj.T
+        return self._monomials(X, self._trail) @ self._proj.T
 
     def contract_magnitude_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise magnitude sum_k |coef_k| prod_j |x_j|^expo for the partial contraction.
+        """Row-wise sum over slices of |coef| times the slice monomial at |x|, per lead.
 
         Natural scale of each component of A x^{m-1} before cancellation;
         used to tell true interior roots from near-boundary pseudo-roots.
         """
-        X = np.abs(np.asarray(X, dtype=np.float64))
-        if self._coef.size == 0:
-            return np.zeros_like(X)
-        mono = np.prod(X[:, None, :] ** self._expo[None, :, :], axis=2)
-        return mono @ np.abs(self._proj).T
+        return self._monomials(np.abs(np.asarray(X, dtype=np.float64)), self._trail) @ np.abs(self._proj).T
 
     def contract_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Jacobian d(A x^{m-1})/dx for a batch; shape (B, dim, dim)."""
+        """Jacobian d(A x^{m-1})/dx for a batch; shape (B, dim, dim).
+
+        Slice r adds coef_r times its monomial without trailing position p to
+        entry (lead_r, trail_r[p]), for every p.
+        """
         X = np.asarray(X, dtype=np.float64)
-        B, n = X.shape[0], self.dim
-        if self._jac_expo.shape[0] == 0:
-            return np.zeros((B, n, n))
-        mono = np.prod(X[:, None, :] ** self._jac_expo[None, :, :], axis=2)
-        return (mono @ self._jac_proj.T).reshape(B, n, n)
+        B, n, m = X.shape[0], self.dim, self.order
+        # row p lists the m-2 trailing positions other than p
+        others = (np.arange(m - 1)[:, None] + np.arange(1, m - 1)) % (m - 1)
+        loo = self._monomials(X, self._trail[:, others]) * self._coef[:, None]
+        cells = np.arange(B)[:, None, None] * (n * n) + (self._lead[:, None] * n + self._trail)
+        return np.bincount(cells.ravel(), weights=loo.ravel(), minlength=B * n * n).reshape(B, n, n)
 
     def apply_contract(self, x: np.ndarray) -> np.ndarray:
         """A x^{m-1} for a single vector of length dim."""
@@ -309,3 +284,52 @@ def knorm(x: np.ndarray, k: float) -> float:
         raise ValueError(f"norm exponent must be >= 1, got {k}")
     x = np.asarray(x, dtype=np.float64)
     return float(np.sum(np.abs(x) ** k) ** (1.0 / k))
+
+
+@dataclass(frozen=True)
+class Sphere:
+    """Unit sphere {sum_i w_i^k = 1} on which the pairs of one kind live.
+
+    The kinds differ only in the norm exponent: k = m for H and k = 2 for Z.
+    An interior pair of an order-m tensor solves A w^{m-1} = value * rhs(w)
+    with level(w) = 1, where rhs(w) = level(w)^((m-k)/k) w^[k-1] is w^[m-1]
+    for H and (w.w)^((m-2)/2) w for Z.  level, rhs and normalize act on the
+    last axis, so they take one vector or a batch of rows.
+    """
+
+    kind: Kind
+    order: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("H", "Z"):
+            raise ValueError(f"kind must be 'H' or 'Z', got {self.kind!r}")
+
+    @property
+    def k(self) -> int:
+        return self.order if self.kind == "H" else 2
+
+    def level(self, W: np.ndarray) -> np.ndarray:
+        return np.sum(W**self.k, axis=-1)
+
+    def rhs(self, W: np.ndarray) -> np.ndarray:
+        m, k = self.order, self.k
+        return (self.level(W) ** ((m - k) / k))[..., None] * W ** (k - 1)
+
+    def rhs_jacobian(self, W: np.ndarray) -> np.ndarray:
+        """d rhs / dw for a batch of rows; shape (B, n, n)."""
+        m, k = self.order, self.k
+        B, n = W.shape
+        s = self.level(W)
+        if k == m:
+            # The (m-k) outer-product term vanishes; it is skipped, not scaled
+            # by zero, because its factor level^(-1) is inf at w = 0.
+            J = np.zeros((B, n, n))
+        else:
+            P = W ** (k - 1)
+            J = (m - k) * (s ** ((m - 2 * k) / k))[:, None, None] * (P[:, :, None] * P[:, None, :])
+        J[:, np.arange(n), np.arange(n)] += (s ** ((m - k) / k))[:, None] * ((k - 1) * W ** (k - 2))
+        return J
+
+    def normalize(self, W: np.ndarray) -> np.ndarray:
+        """Rows scaled to unit k-norm; an all-zero row comes back NaN."""
+        return W / (np.sum(np.abs(W) ** self.k, axis=-1) ** (1.0 / self.k))[..., None]

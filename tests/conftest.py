@@ -38,6 +38,17 @@ def dense_contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def dense_jacobian(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d(A x^{m-1})_i / dx_j: one term per trailing axis, the others contracted with x."""
+    jac = np.zeros((a.shape[0], a.shape[0]))
+    for p in range(1, a.ndim):
+        out = np.moveaxis(a, p, 1)
+        for _ in range(a.ndim - 2):
+            out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
+        jac += out
+    return jac
+
+
 def dense_symmetrize(a: np.ndarray) -> np.ndarray:
     m = a.ndim
     out = np.zeros_like(a)

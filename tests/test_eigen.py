@@ -14,15 +14,13 @@ from paretospec.eigen import (
     EigenPair,
     SolverConfig,
     residual,
-    solve_h_interior,
     solve_interior,
-    solve_z_interior,
     solved_exhaustively,
 )
-from paretospec.eigen import _newton_candidates
-from paretospec.tensor import build, knorm
+from paretospec.eigen import _newton_candidates, _system_eval, _system_jac
+from paretospec.tensor import Sphere, build, knorm
 
-from conftest import random_symmetric_tensor
+from conftest import random_entries, random_symmetric_tensor
 
 FAST = SolverConfig(starts=150, seed=1)
 
@@ -77,48 +75,48 @@ def test_matrix_route_matches_eigh_oracle_on_random_symmetric():
                 v = -v
             if v.min() > 1e-8:
                 want.append(vals[k])
-        assert_value_sets_close(values(solve_h_interior(t)), want, tol=1e-10)
+        assert_value_sets_close(values(solve_interior(t, "H")), want, tol=1e-10)
 
 
 def test_nonsymmetric_matrix_route_drops_complex_pairs():
     # rotation-like matrix: complex spectrum, no interior pairs
     t = build(2, 2, [((0, 1), -1.0), ((1, 0), 1.0)])
-    assert solve_h_interior(t) == []
+    assert solve_interior(t, "H") == []
     # and a positive matrix keeps its Perron pair
     t2 = build(2, 2, [((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0), ((1, 1), 1.0)])
-    pairs = solve_h_interior(t2)
+    pairs = solve_interior(t2, "H")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(1.0 + np.sqrt(6.0), abs=1e-10)
 
 
 def test_diagonal_h_pairs_require_equal_entries():
     t_eq = build(3, 3, [((i, i, i), 2.0) for i in range(3)])
-    pairs = solve_h_interior(t_eq)
+    pairs = solve_interior(t_eq, "H")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(2.0, abs=1e-14)
     np.testing.assert_allclose(pairs[0].vector, np.full(3, 3.0 ** (-1.0 / 3.0)), atol=1e-14)
 
     t_neq = build(3, 3, [((i, i, i), float(1 + i)) for i in range(3)])
-    assert solve_h_interior(t_neq) == []
+    assert solve_interior(t_neq, "H") == []
 
 
 def test_diagonal_z_pair_same_sign_closed_form():
     # diag(3, 5, 7), order 4: mu = 1 / (1/3 + 1/5 + 1/7) = 105/71
     t = build(4, 3, [((0,) * 4, 3.0), ((1,) * 4, 5.0), ((2,) * 4, 7.0)])
-    pairs = solve_z_interior(t)
+    pairs = solve_interior(t, "Z")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(105.0 / 71.0, abs=1e-12)
     assert pairs[0].residual <= 1e-12
 
     t_neg = build(4, 2, [((0,) * 4, -1.0), ((1,) * 4, -2.0)])
-    pairs = solve_z_interior(t_neg)
+    pairs = solve_interior(t_neg, "Z")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
 
 def test_diagonal_z_mixed_sign_or_partial_zero_has_no_interior_pair():
-    assert solve_z_interior(build(3, 2, [((0, 0, 0), 1.0), ((1, 1, 1), -1.0)])) == []
-    assert solve_z_interior(build(3, 2, [((0, 0, 0), 1.0)])) == []
+    assert solve_interior(build(3, 2, [((0, 0, 0), 1.0), ((1, 1, 1), -1.0)]), "Z") == []
+    assert solve_interior(build(3, 2, [((0, 0, 0), 1.0)]), "Z") == []
 
 
 def test_zero_tensor_interior_pairs():
@@ -132,7 +130,7 @@ def test_zero_tensor_interior_pairs():
 def test_unit_cubic_identity_z_value():
     # diag(1, 1), order 3: both rows force mu = w_i, so w uniform on the circle
     t = build(3, 2, [((0, 0, 0), 1.0), ((1, 1, 1), 1.0)])
-    pairs = solve_z_interior(t)
+    pairs = solve_interior(t, "Z")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
 
@@ -167,7 +165,7 @@ def cubic_z_oracle():
 
 def test_newton_matches_cubic_h_oracle():
     t, _ = fixtures.shifted_cubic()
-    pairs = solve_h_interior(t, FAST)
+    pairs = solve_interior(t, "H", FAST)
     want = cubic_h_oracle()
     assert_value_sets_close(values(pairs), [lam for lam, _ in want], tol=1e-9)
     for lam, w in want:
@@ -178,18 +176,18 @@ def test_newton_matches_cubic_h_oracle():
 
 def test_newton_matches_cubic_z_oracle():
     t, _ = fixtures.shifted_cubic()
-    pairs = solve_z_interior(t, FAST)
+    pairs = solve_interior(t, "Z", FAST)
     want = cubic_z_oracle()
     assert_value_sets_close(values(pairs), [mu for mu, _ in want], tol=1e-9)
 
 
 def test_grouped_quartic_unique_interior_pairs():
     t, _ = fixtures.grouped_quartic()
-    h = solve_h_interior(t, FAST)
+    h = solve_interior(t, "H", FAST)
     assert len(h) == 1
     assert h[0].value == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(h[0].vector, [fixtures.UNIF4, fixtures.UNIF4], atol=1e-9)
-    z = solve_z_interior(t, FAST)
+    z = solve_interior(t, "Z", FAST)
     assert len(z) == 1
     assert z[0].value == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(z[0].vector, [fixtures.ROOT2_HALF, fixtures.ROOT2_HALF], atol=1e-9)
@@ -197,7 +195,7 @@ def test_grouped_quartic_unique_interior_pairs():
 
 def test_parametric_quartic_interior_h_pair():
     t, expected = fixtures.parametric_quartic(-1.0)
-    pairs = solve_h_interior(t, FAST)
+    pairs = solve_interior(t, "H", FAST)
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(1.0 - 27.0 ** 0.25, abs=1e-10)
     np.testing.assert_allclose(pairs[0].vector, expected["interior_vector"], atol=1e-9)
@@ -207,14 +205,32 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.5, 2.0, size=3)
     t = build(4, 3, [((i,) * 4, float(d[i])) for i in range(3)])
-    closed = solve_z_interior(t)
-    newton_raw = _newton_candidates(t, "Z", SolverConfig(starts=200, seed=3))
+    closed = solve_interior(t, "Z")
+    newton_raw = _newton_candidates(t, Sphere("Z", 4), SolverConfig(starts=200, seed=3))
     assert newton_raw, "multistart found nothing on a solvable diagonal"
     vals = {round(v, 9) for v, w in newton_raw if w.min() > 1e-8}
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
 # -- properties --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_system_jacobian_matches_finite_differences(kind, order):
+    rng = np.random.default_rng(10 * order + (kind == "Z"))
+    t = build(order, 3, random_entries(rng, order, 3, 20))
+    sph = Sphere(kind, order)
+    # mixed-sign rows: Newton iterates leave the orthant
+    W = rng.uniform(0.4, 1.2, size=(4, 3)) * np.array([1.0, -1.0, 1.0])
+    L = rng.uniform(-1.0, 1.0, size=4)
+    J = _system_jac(t, sph, W, L)
+    h = 1e-6
+    for j in range(4):
+        e = np.zeros(4)
+        e[j] = h
+        fd = (_system_eval(t, sph, W + e[:3], L + e[3]) - _system_eval(t, sph, W - e[:3], L - e[3])) / (2 * h)
+        np.testing.assert_allclose(J[:, :, j], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_pair_residuals_below_tolerance_and_unit_norm():
@@ -229,7 +245,7 @@ def test_pair_residuals_below_tolerance_and_unit_norm():
 
 def test_defining_equation_scale_consistency():
     t, _ = fixtures.shifted_cubic()
-    p = solve_h_interior(t, FAST)[0]
+    p = solve_interior(t, "H", FAST)[0]
     for c in (0.3, 2.0, 17.0):
         y = c * p.vector
         lhs = t.apply_contract(y)
@@ -240,16 +256,16 @@ def test_defining_equation_scale_consistency():
 def test_matrix_h_and_z_spectra_coincide():
     rng = np.random.default_rng(77)
     t = random_symmetric_tensor(rng, 2, 4)
-    h = solve_h_interior(t)
-    z = solve_z_interior(t)
+    h = solve_interior(t, "H")
+    z = solve_interior(t, "Z")
     assert_value_sets_close(values(h), values(z), tol=1e-12)
 
 
 def test_solver_is_deterministic():
     t, _ = fixtures.shifted_cubic()
     cfg = SolverConfig(starts=120, seed=9)
-    a = solve_h_interior(t, cfg)
-    b = solve_h_interior(t, cfg)
+    a = solve_interior(t, "H", cfg)
+    b = solve_interior(t, "H", cfg)
     assert [p.value for p in a] == [p.value for p in b]
     for pa, pb in zip(a, b):
         np.testing.assert_array_equal(pa.vector, pb.vector)
@@ -257,20 +273,28 @@ def test_solver_is_deterministic():
 
 def test_results_sorted_by_value_then_vector():
     t, _ = fixtures.shifted_cubic()
-    pairs = solve_h_interior(t, FAST)
+    pairs = solve_interior(t, "H", FAST)
     vals = [p.value for p in pairs]
     assert vals == sorted(vals)
 
 
 def test_exhaustiveness_marker():
-    assert solved_exhaustively(build(5, 1, [((0,) * 5, 1.0)]))
-    assert solved_exhaustively(build(2, 4, []))
-    assert not solved_exhaustively(fixtures.shifted_cubic()[0])
+    for kind in ("H", "Z"):
+        assert solved_exhaustively(build(5, 1, [((0,) * 5, 1.0)]), kind)
+        assert solved_exhaustively(build(2, 4, []), kind)
+        assert not solved_exhaustively(fixtures.shifted_cubic()[0], kind)
+        assert solved_exhaustively(build(3, 3, [((0,) * 3, 1.0), ((1,) * 3, 2.0), ((2,) * 3, -1.0)]), kind)
+        # the zero tensor pairs every positive vector with 0 on either sphere
+        assert not solved_exhaustively(build(4, 3, []), kind)
+    # equal entries: every positive vector is an H-pair, the Z-pair is unique
+    equal = build(3, 2, [((0,) * 3, 2.0), ((1,) * 3, 2.0)])
+    assert not solved_exhaustively(equal, "H")
+    assert solved_exhaustively(equal, "Z")
 
 
 def test_residual_function_flags_perturbed_pair():
     t, _ = fixtures.shifted_cubic()
-    p = solve_h_interior(t, FAST)[0]
+    p = solve_interior(t, "H", FAST)[0]
     bad = EigenPair(p.value + 1e-3, p.vector, "H", 0.0)
     assert residual(t, bad) > 1e-6
 

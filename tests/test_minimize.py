@@ -164,3 +164,5 @@ def test_minimize_validation():
     t, _ = fixtures.shifted_cubic()
     with pytest.raises(ValueError):
         minimize(t, "Q")
+    with pytest.raises(ValueError, match="kind"):
+        kkt_residual(t, np.array([1.0, 0.0]), "Q")

@@ -182,6 +182,13 @@ def test_uniform_diagonal_has_a_certificate_per_subset():
     assert not spec.complete
 
 
+def test_diagonal_spectrum_is_complete():
+    # every principal sub-tensor is diagonal without a family, so each is solved exactly
+    t = build(3, 3, [((0,) * 3, 1.0), ((1,) * 3, 2.0), ((2,) * 3, -1.0)])
+    for kind in ("H", "Z"):
+        assert pareto_spectrum(t, kind).complete is True
+
+
 def test_boundary_flag_marks_tolerated_negative_slack():
     t = build(2, 2, [((0, 0), 1.0), ((1, 0), -1e-10), ((1, 1), 2.0)])
     spec = pareto_spectrum(t, "H")

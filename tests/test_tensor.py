@@ -10,6 +10,7 @@ from conftest import (
     dense_contract,
     dense_from_entries,
     dense_full,
+    dense_jacobian,
     dense_symmetrize,
     random_entries,
 )
@@ -26,16 +27,27 @@ def test_matrix_case_matches_quadratic_form():
         np.testing.assert_allclose(t.apply_contract(x), m @ x, atol=1e-12)
 
 
-@pytest.mark.parametrize("order,dim,count", [(3, 3, 25), (4, 3, 40), (3, 5, 60), (5, 2, 20)])
+@pytest.mark.parametrize(
+    "order,dim,count",
+    [(3, 3, 25), (4, 3, 40), (3, 5, 60), (5, 2, 20), (2, 4, 12), (4, 1, 3), (3, 3, 0)],
+)
 def test_contractions_match_dense_oracle(order, dim, count):
     rng = np.random.default_rng(100 * order + dim)
     entries = random_entries(rng, order, dim, count)
     a = dense_from_entries(order, dim, entries)
     t = build(order, dim, entries)
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, size=dim)
+    # The magnitude kernel sums |coefficient| per stored slice, so its oracle
+    # is |A| for the dense tensor holding each slice at one index.
+    a_slices = dense_from_entries(order, dim, [((lead,) + trail, v) for (lead, trail), v in t.slices.items()])
+    # mixed signs: Newton iterates leave the orthant
+    X = rng.uniform(-1.5, 1.5, size=(10, dim))
+    magnitude = t.contract_magnitude_batch(X)
+    jacobian = t.contract_jacobian_batch(X)
+    for x, mag, jac in zip(X, magnitude, jacobian):
         assert t.apply_full(x) == pytest.approx(dense_full(a, x), rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(t.apply_contract(x), dense_contract(a, x), atol=1e-11)
+        np.testing.assert_allclose(mag, dense_contract(np.abs(a_slices), np.abs(x)), atol=1e-11)
+        np.testing.assert_allclose(jac, dense_jacobian(a, x), atol=1e-11)
 
 
 def test_full_contraction_is_vector_dot_partial():
