@@ -21,12 +21,23 @@ Everything else goes through a damped Newton iteration run from many random
 starts at once; the whole batch moves in lockstep through vectorized
 contraction kernels.  Multistart is a heuristic: it can miss roots, so no
 completeness claim is attached to its output.
+
+The damping is a backtracking line search over the step lengths 2^-r,
+r = 0..30, and each member takes the first one that cuts its residual
+enough (Armijo).  `_backtrack` tries a block of rungs per call instead of
+one: every pending member gets the next B // pending rungs (at least one),
+B being the start count, so a call never holds more rows than the first
+full evaluation, and a straggler walks the whole ladder in one or two calls
+instead of one call per halving.  The accepted steps are the ones a
+rung-by-rung loop would take.  `minimize` uses the same helper for its
+projected-gradient backtracking.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -119,17 +130,26 @@ def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) ->
     return _finalize(t, sph, cands, cfg)
 
 
-def solved_exhaustively(t: Tensor, kind: Kind) -> bool:
+def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
     """True when solve_interior returns every interior pair, not a heuristic subset.
 
     Mirrors its dispatch: dimension 1, order 2 and diagonal tensors are
-    solved exactly.  A diagonal tensor of dimension >= 2 whose interior
-    pairs form a positive-dimensional family gets one representative, so it
-    withdraws the claim: all entries equal on the m-norm sphere (H), all
-    entries zero on any sphere.
+    solved exactly.  Where the interior pairs may form a positive-dimensional
+    family, the solver reports at most one representative, so the claim is
+    withdrawn: a matrix with a repeated eigenvalue (two eigenvalues closer
+    than the solver tolerance, relative to the largest), whose eigenspace
+    gets one basis vector per copy; a diagonal tensor of dimension >= 2 with
+    all entries equal on the m-norm sphere (H), or all entries zero on any
+    sphere.
     """
-    if t.dim == 1 or t.order == 2:
+    if t.dim == 1:
         return True
+    if t.order == 2:
+        cfg = config if config is not None else SolverConfig()
+        M = _matrix(t)
+        ev = np.linalg.eigvalsh(M) if t.symmetric else np.linalg.eigvals(M)
+        gaps = np.abs(ev[:, None] - ev[None, :]) + np.diag(np.full(ev.size, np.inf))
+        return bool(gaps.min() > cfg.tol * max(1.0, float(np.abs(ev).max())))
     if not t.is_diagonal():
         return False
     d = t.diagonal_entries()
@@ -140,8 +160,9 @@ def solved_exhaustively(t: Tensor, kind: Kind) -> bool:
 def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Stacked residual F(w, value): eigen rows then the normalization row."""
     F = np.empty((W.shape[0], t.dim + 1))
-    F[:, : t.dim] = t.contract_batch(W) - L[:, None] * sph.rhs(W)
-    F[:, t.dim] = sph.level(W) - 1.0
+    level = sph.level(W)
+    F[:, : t.dim] = t.contract_batch(W) - L[:, None] * sph.rhs(W, level)
+    F[:, t.dim] = level - 1.0
     return F
 
 
@@ -157,12 +178,17 @@ def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndar
 # -- closed-form routes -------------------------------------------------------
 
 
-def _matrix_candidates(t: Tensor, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
-    """Order 2: classical eigendecomposition; H and Z systems coincide."""
-    d = t.dim
-    M = np.zeros((d, d))
+def _matrix(t: Tensor) -> np.ndarray:
+    """Dense form of an order-2 tensor."""
+    M = np.zeros((t.dim, t.dim))
     for (i, (j,)), v in t.slices.items():
         M[i, j] = v
+    return M
+
+
+def _matrix_candidates(t: Tensor, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
+    """Order 2: classical eigendecomposition; H and Z systems coincide."""
+    M = _matrix(t)
     if t.symmetric:
         vals, vecs = np.linalg.eigh(M)
     else:
@@ -224,6 +250,43 @@ def _solve_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     return s
 
 
+# trial(rows, alpha) -> (ok, values) for one batch of line-search trials
+_Trial = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, tuple[np.ndarray, ...]]]
+
+
+def _backtrack(
+    members: np.ndarray, last_rung: int, budget: int, trial: _Trial, out: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Backtracking line search over the step lengths 2^-r, r = 0..last_rung.
+
+    trial(rows, alpha) tries member rows[i] at step length alpha[i] and
+    returns (ok, values): ok marks the trials that pass the acceptance test
+    and values holds arrays with one entry per trial.  Every member takes the
+    first rung it passes, the step a loop halving one rung at a time would
+    stop at, and its values are written to out[j][member].  Instead of one
+    rung per call, each call tries the next max(1, budget // pending) rungs
+    of every pending member at once, so a call evaluates at most `budget`
+    rows while that many are pending, and few calls remain once most members
+    have passed.  Returns a mask, over the rows of out, of the members that
+    passed some rung.
+    """
+    passed = np.zeros(out[0].shape[0], dtype=bool)
+    pend, rung = members, 0
+    while pend.size and rung <= last_rung:
+        b = min(max(1, budget // pend.size), last_rung + 1 - rung)
+        alpha = np.ldexp(1.0, -np.tile(np.arange(rung, rung + b), pend.size))
+        ok, values = trial(np.repeat(pend, b), alpha)
+        ok = ok.reshape(pend.size, b)
+        hit = ok.any(axis=1)
+        first = np.flatnonzero(hit) * b + ok.argmax(axis=1)[hit]
+        for dst, v in zip(out, values):
+            dst[pend[hit]] = v[first]
+        passed[pend[hit]] = True
+        pend = pend[~hit]
+        rung += b
+    return passed
+
+
 def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
     d = t.dim
     B = cfg.resolve_starts(d)
@@ -249,24 +312,17 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[
             bad = ~np.isfinite(step).all(axis=1)
             base = Fnorm[act]
 
-            alpha = np.ones(act.size)
-            accepted = np.zeros(act.size, dtype=bool)
-            pend = np.flatnonzero(~bad)
-            for _ in range(_MAX_HALVINGS + 1):
-                if pend.size == 0:
-                    break
-                tW = Wa[pend] + alpha[pend, None] * step[pend, :d]
-                tL = La[pend] + alpha[pend] * step[pend, d]
-                tF = _system_eval(t, sph, tW, tL)
-                tn = np.abs(tF).max(axis=1)
-                ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha[pend]) * base[pend])
-                hit = pend[ok]
-                W[act[hit]] = tW[ok]
-                L[act[hit]] = tL[ok]
-                Fnorm[act[hit]] = tn[ok]
-                accepted[hit] = True
-                pend = pend[~ok]
-                alpha[pend] *= 0.5
+            def trial(rows, alpha):
+                tW = Wa[rows] + alpha[:, None] * step[rows, :d]
+                tL = La[rows] + alpha * step[rows, d]
+                tn = np.abs(_system_eval(t, sph, tW, tL)).max(axis=1)
+                ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha) * base[rows])
+                return ok, (tW, tL, tn)
+
+            nW, nL, nF = np.empty_like(Wa), np.empty_like(La), np.empty_like(base)
+            accepted = _backtrack(np.flatnonzero(~bad), _MAX_HALVINGS, B, trial, (nW, nL, nF))
+            hit = act[accepted]
+            W[hit], L[hit], Fnorm[hit] = nW[accepted], nL[accepted], nF[accepted]
             alive[act[~accepted]] = False
             grown = np.abs(W[act]).max(axis=1) > 1e8
             alive[act[grown]] = False
@@ -281,22 +337,25 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[
     return [(float(L[r]), W[r].copy()) for r in roots]
 
 
-def _polish(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A couple of undamped Newton steps to tighten renormalized roots."""
+def _polish(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A couple of undamped Newton steps to tighten renormalized roots.
+
+    Returns the new W and L and the system F(W, L) there.
+    """
     with np.errstate(all="ignore"):
+        F = _system_eval(t, sph, W, L)
         for _ in range(_POLISH_STEPS):
-            F = _system_eval(t, sph, W, L)
             J = _system_jac(t, sph, W, L)
             step = _solve_steps(J, F)
             nW = W + step[:, : t.dim]
             nL = L + step[:, t.dim]
             better = np.isfinite(nW).all(axis=1) & np.isfinite(nL)
-            newF = np.abs(_system_eval(t, sph, np.where(better[:, None], nW, W), np.where(better, nL, L))).max(axis=1)
-            oldF = np.abs(F).max(axis=1)
-            take = better & (newF <= oldF)
+            nF = _system_eval(t, sph, np.where(better[:, None], nW, W), np.where(better, nL, L))
+            take = better & (np.abs(nF).max(axis=1) <= np.abs(F).max(axis=1))
             W = np.where(take[:, None], nW, W)
             L = np.where(take, nL, L)
-    return W, L
+            F = np.where(take[:, None], nF, F)
+    return W, L, F
 
 
 def _finalize(t: Tensor, sph: Sphere, cands: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> list[EigenPair]:
@@ -310,12 +369,12 @@ def _finalize(t: Tensor, sph: Sphere, cands: list[tuple[float, np.ndarray]], cfg
     if W.shape[0] == 0:
         return []
     W = sph.normalize(W)
-    W, L = _polish(t, sph, W, L)
+    W, L, F = _polish(t, sph, W, L)
 
     with np.errstate(all="ignore"):
-        res = np.abs(_system_eval(t, sph, W, L)).max(axis=1)
+        res = np.abs(F).max(axis=1)
+        rows = F[:, : t.dim]
         rhs = sph.rhs(W)
-        rows = t.contract_batch(W) - L[:, None] * rhs
         scale = t.contract_magnitude_batch(W) + np.abs(L)[:, None] * np.abs(rhs)
         genuine = (np.abs(rows) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
     keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > cfg.pos_tol) & genuine

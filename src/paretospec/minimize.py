@@ -3,10 +3,14 @@
 The feasible set is {x >= 0, ||x||_k = 1} with k = m for the H geometry and
 k = 2 for the Z geometry.  The optimizer is projected gradient descent with
 Armijo backtracking, run from many random starts in one vectorized batch.
-The projection is the componentwise clamp at zero followed by rescaling to
-the sphere.  Gradients use the symmetric part of the tensor, which leaves
-the objective unchanged; KKT quantities are reported against the tensor as
-given.
+Each iteration tries the step lengths bb * 2^-r, r = 0..50, from the
+Barzilai-Borwein length bb down, and each member takes the first that
+decreases the objective enough.  The rungs are tried in blocks
+(`eigen._backtrack`): a call evaluates several rungs of every pending
+member, at most as many rows as there are starts.  The projection is the
+componentwise clamp at zero followed by rescaling to the sphere.  Gradients
+use the symmetric part of the tensor, which leaves the objective unchanged;
+KKT quantities are reported against the tensor as given.
 
 This module is the independent check on the spectral route: for symmetric
 tensors the minimum value must match the smallest Pareto eigenvalue of the
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SolverConfig
+from .eigen import SolverConfig, _backtrack
 from .tensor import Kind, Sphere, Tensor, knorm
 
 # Projected-gradient stationarity target (infinity norm).
@@ -132,27 +136,22 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
             bb = np.where((den > 1e-30) & np.isfinite(den), num / np.maximum(den, 1e-300), 1.0)
             bb = np.clip(np.nan_to_num(bb, nan=1.0), _BB_MIN, _BB_MAX)
 
-            alpha = np.ones(idx.size)
-            pend = np.arange(idx.size)
-            for _ in range(_MAX_BACKTRACKS + 1):
-                if pend.size == 0:
-                    break
-                lam = (bb[pend] * alpha[pend])[:, None]
-                trial = _project(Xa[pend] - lam * Ga[pend], sph)
-                tX = np.nan_to_num(trial, nan=0.0)
+            def trial(rows, alpha):
+                tP = _project(Xa[rows] - (bb[rows] * alpha)[:, None] * Ga[rows], sph)
+                tX = np.nan_to_num(tP, nan=0.0)
                 tF = s.apply_full_batch(tX)
-                finite = np.isfinite(trial).all(axis=1)
-                decrease = np.einsum("bi,bi->b", Ga[pend], Xa[pend] - tX)
-                ok = finite & (tF <= Fa[pend] - _ARMIJO * decrease) & (tF < Fa[pend])
-                hit = pend[ok]
-                prev_X[idx[hit]] = Xa[hit]
-                prev_G[idx[hit]] = Ga[hit]
-                X[idx[hit]] = trial[ok]
-                F[idx[hit]] = tF[ok]
-                pend = pend[~ok]
-                alpha[pend] *= 0.5
+                finite = np.isfinite(tP).all(axis=1)
+                decrease = np.einsum("bi,bi->b", Ga[rows], Xa[rows] - tX)
+                ok = finite & (tF <= Fa[rows] - _ARMIJO * decrease) & (tF < Fa[rows])
+                return ok, (tP, tF)
+
+            nX, nF = np.empty_like(Xa), np.empty_like(Fa)
+            moved = _backtrack(np.arange(idx.size), _MAX_BACKTRACKS, B, trial, (nX, nF))
+            hit = idx[moved]
+            prev_X[hit], prev_G[hit] = Xa[moved], Ga[moved]
+            X[hit], F[hit] = nX[moved], nF[moved]
             # members that cannot decrease along the projected path are parked
-            active[idx[pend]] = False
+            active[idx[~moved]] = False
 
     # lexicographic tie-break on exactly equal values keeps the result stable
     best = min(range(B), key=lambda b: (F[b], tuple(X[b])))

@@ -107,11 +107,13 @@ def pareto_spectrum(
         )
     cfg = config if config is not None else SolverConfig()
     items: list[SubsetCertificate] = []
+    # values and vectors of the kept items, in rows 0..len(items)-1
+    values, vectors = np.empty(16), np.empty((16, t.dim))
     complete = True
     for card in range(1, t.dim + 1):
         for subset in itertools.combinations(range(t.dim), card):
             sub = t.principal_subtensor(subset)
-            if not solved_exhaustively(sub, kind):
+            if not solved_exhaustively(sub, kind, cfg):
                 complete = False
             for pair in solve_interior(sub, kind, cfg):
                 slacks = complement_slacks(t, subset, pair.vector)
@@ -124,18 +126,20 @@ def pareto_spectrum(
                     slacks=slacks,
                     boundary=bool(slacks.size and float(slacks.min()) < 0.0),
                 )
-                if not _duplicates_earlier(cert, items, cfg.dedup_tol):
+                n = len(items)
+                if not _duplicates_earlier(cert, values[:n], vectors[:n], cfg.dedup_tol):
+                    if n == values.size:
+                        values, vectors = np.resize(values, 2 * n), np.resize(vectors, (2 * n, t.dim))
+                    values[n], vectors[n] = cert.value, cert.vector
                     items.append(cert)
     min_value = min((c.value for c in items), default=None)
     return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
 
 
-def _duplicates_earlier(cert: SubsetCertificate, kept: list[SubsetCertificate], dedup_tol: float) -> bool:
-    return any(
-        abs(cert.value - k.value) <= dedup_tol
-        and np.abs(cert.vector - k.vector).max() <= VECTOR_DEDUP_TOL
-        for k in kept
-    )
+def _duplicates_earlier(cert: SubsetCertificate, values: np.ndarray, vectors: np.ndarray, dedup_tol: float) -> bool:
+    """Whether a kept item, given by its value and embedded vector, matches `cert`."""
+    near = np.flatnonzero(np.abs(values - cert.value) <= dedup_tol)
+    return bool((np.abs(vectors[near] - cert.vector).max(axis=1) <= VECTOR_DEDUP_TOL).any())
 
 
 @dataclass(frozen=True)

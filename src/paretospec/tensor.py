@@ -311,9 +311,11 @@ class Sphere:
     def level(self, W: np.ndarray) -> np.ndarray:
         return np.sum(W**self.k, axis=-1)
 
-    def rhs(self, W: np.ndarray) -> np.ndarray:
+    def rhs(self, W: np.ndarray, level: np.ndarray | None = None) -> np.ndarray:
+        """rhs(w) per row; `level` is level(W) when the caller already has it."""
         m, k = self.order, self.k
-        return (self.level(W) ** ((m - k) / k))[..., None] * W ** (k - 1)
+        s = self.level(W) if level is None else level
+        return (s ** ((m - k) / k))[..., None] * W ** (k - 1)
 
     def rhs_jacobian(self, W: np.ndarray) -> np.ndarray:
         """d rhs / dw for a batch of rows; shape (B, n, n)."""

@@ -17,7 +17,8 @@ from paretospec.eigen import (
     solve_interior,
     solved_exhaustively,
 )
-from paretospec.eigen import _newton_candidates, _system_eval, _system_jac
+from paretospec.eigen import _MAX_HALVINGS, _backtrack, _newton_candidates, _system_eval, _system_jac
+from paretospec.minimize import _MAX_BACKTRACKS
 from paretospec.tensor import Sphere, build, knorm
 
 from conftest import random_entries, random_symmetric_tensor
@@ -212,6 +213,69 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
+def _halving_ladder(members, last_rung, trial, out):
+    """Reference line search: one call per rung, halving every pending step."""
+    passed = np.zeros(out[0].shape[0], dtype=bool)
+    alpha = np.ones(out[0].shape[0])
+    pend = members
+    for _ in range(last_rung + 1):
+        if pend.size == 0:
+            break
+        ok, values = trial(pend, alpha[pend])
+        for dst, v in zip(out, values):
+            dst[pend[ok]] = v[ok]
+        passed[pend[ok]] = True
+        pend = pend[~ok]
+        alpha[pend] *= 0.5
+    return passed
+
+
+def _patterned_trial(passes, nonfinite, rows_per_call):
+    """Trial whose member r passes at rung j iff passes[r, j] and its value there is finite."""
+
+    def trial(rows, alpha):
+        rows_per_call.append(rows.size)
+        rung = np.rint(-np.log2(alpha)).astype(int)
+        assert np.array_equal(np.ldexp(1.0, -rung), alpha), "step lengths must be exact powers of two"
+        value = rows * 1000.0 + rung
+        value[nonfinite[rows, rung]] = np.nan
+        ok = passes[rows, rung] & np.isfinite(value)
+        return ok, (value, alpha)
+
+    return trial
+
+
+@pytest.mark.parametrize("last_rung", [_MAX_HALVINGS, _MAX_BACKTRACKS])
+def test_blocked_backtracking_matches_halving_ladder(last_rung):
+    rng = np.random.default_rng(last_rung)
+    n, rungs = 40, last_rung + 1
+    passes = rng.uniform(size=(n, rungs)) < rng.uniform(0.0, 0.6, size=(n, 1))
+    nonfinite = rng.uniform(size=(n, rungs)) < 0.2
+    passes[0] = True  # rung 0
+    passes[1] = False
+    passes[1, -1] = True  # only the last rung
+    passes[2] = False  # never
+    passes[3] = True
+    nonfinite[3, :-1] = True  # non-finite until the last rung
+    nonfinite[4] = True  # non-finite everywhere
+    passes[5] = False
+    passes[5, [3, 9]] = True  # not monotone in the rung
+    nonfinite[[0, 1, 2, 5]] = False
+    member_sets = [np.arange(n), np.arange(0, n, 3), np.array([1]), np.array([2]), np.array([], dtype=np.intp)]
+    # the budget is the solve's start count, never below the pending members
+    for members in member_sets:
+        for budget in {max(members.size, 1), n, 3 * n}:
+            got_rows, want_rows = [], []
+            got = (np.full(n, -1.0), np.full(n, -1.0))
+            want = (np.full(n, -1.0), np.full(n, -1.0))
+            got_passed = _backtrack(members, last_rung, budget, _patterned_trial(passes, nonfinite, got_rows), got)
+            want_passed = _halving_ladder(members, last_rung, _patterned_trial(passes, nonfinite, want_rows), want)
+            assert np.array_equal(got_passed, want_passed)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert max(got_rows, default=0) <= budget
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -281,7 +345,10 @@ def test_results_sorted_by_value_then_vector():
 def test_exhaustiveness_marker():
     for kind in ("H", "Z"):
         assert solved_exhaustively(build(5, 1, [((0,) * 5, 1.0)]), kind)
-        assert solved_exhaustively(build(2, 4, []), kind)
+        assert solved_exhaustively(build(2, 2, [((0, 0), 1.0), ((0, 1), 0.5), ((1, 0), 0.5)]), kind)
+        # a repeated eigenvalue: every positive vector pairs with 0
+        assert not solved_exhaustively(build(2, 4, []), kind)
+        assert not solved_exhaustively(build(2, 2, [((0, 0), 1.0), ((1, 1), 1.0 + 1e-12)]), kind)
         assert not solved_exhaustively(fixtures.shifted_cubic()[0], kind)
         assert solved_exhaustively(build(3, 3, [((0,) * 3, 1.0), ((1,) * 3, 2.0), ((2,) * 3, -1.0)]), kind)
         # the zero tensor pairs every positive vector with 0 on either sphere

@@ -189,6 +189,19 @@ def test_diagonal_spectrum_is_complete():
         assert pareto_spectrum(t, kind).complete is True
 
 
+def test_repeated_matrix_eigenvalue_withdraws_complete():
+    # eigenvalue 1 has the eigenspace u-perp, which holds a whole family of
+    # positive vectors; eigh reports one basis vector of it
+    u = np.array([1.0, 1.0, -2.0])
+    m = np.eye(3) - 0.1 * np.outer(u, u)
+    t = build(2, 3, [((i, j), float(m[i, j])) for i in range(3) for j in range(3)])
+    spec = pareto_spectrum(t, "H")
+    y = np.full(3, 3**-0.5)
+    assert verify_pareto_pair(t, 1.0, y, "H").ok
+    assert not any(abs(c.value - 1.0) < 1e-9 and np.abs(c.vector - y).max() < 1e-6 for c in spec.items)
+    assert spec.complete is False
+
+
 def test_boundary_flag_marks_tolerated_negative_slack():
     t = build(2, 2, [((0, 0), 1.0), ((1, 0), -1e-10), ((1, 1), 2.0)])
     spec = pareto_spectrum(t, "H")
@@ -206,9 +219,11 @@ def test_duplicate_policy_keeps_smaller_subset():
     small = SubsetCertificate((0, 1), EigenPair(1.0, v[:2], "H", 0.0), v, np.array([0.0]), False)
     dup_vec = v + np.array([0.0, 5e-7, 0.0])
     big = SubsetCertificate((0, 1, 2), EigenPair(1.0 + 5e-9, dup_vec[:3], "H", 0.0), dup_vec, np.array([]), False)
-    assert _duplicates_earlier(big, [small], dedup_tol=1e-8)
+    kept = np.array([small.value]), small.vector[None, :]
+    assert _duplicates_earlier(big, *kept, dedup_tol=1e-8)
     far = SubsetCertificate((0, 1, 2), EigenPair(1.1, v, "H", 0.0), v, np.array([]), False)
-    assert not _duplicates_earlier(far, [small], dedup_tol=1e-8)
+    assert not _duplicates_earlier(far, *kept, dedup_tol=1e-8)
+    assert not _duplicates_earlier(big, np.empty(0), np.empty((0, 3)), dedup_tol=1e-8)
 
 
 def test_items_sorted_by_cardinality_then_subset():
