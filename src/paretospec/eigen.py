@@ -17,6 +17,11 @@ is appended.  Special structure is solved exactly:
     diagonal entries are equal; Z-pairs exactly when they share a strict
     sign, with w_i proportional to |d_i|^(-1/(m-2))).
 
+These closed forms also solve many principal sub-tensors of one parent at
+once (`solve_closed_forms`): candidate rows carry their index subset, and
+the polish and filters read each sub-problem off the parent's contraction at
+the zero-filled vector, so no sub-tensor is built.
+
 Everything else goes through a damped Newton iteration run from many random
 starts at once; the whole batch moves in lockstep through vectorized
 contraction kernels.  Multistart is a heuristic: it can miss roots, so no
@@ -47,6 +52,9 @@ from .tensor import Kind, Sphere, Tensor
 # dedup tolerance and their vectors by at most this much in infinity norm.
 VECTOR_DEDUP_TOL = 1e-6
 
+# Cells (candidate rows x per-row Jacobian and gather cells) in one batch of
+# closed-form sub-problems: 8 MB per float array of that size.
+_BATCH_CELLS = 1 << 20
 # Line search halvings before a Newton member is abandoned.
 _MAX_HALVINGS = 30
 # A member that fails to cut its residual by 10% within this many successive
@@ -118,16 +126,43 @@ def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) ->
     """All interior pairs of the kind found for `t`, deduplicated and sorted."""
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
-    if t.dim == 1:
-        a = t.slices.get((0, (0,) * (t.order - 1)), 0.0)
-        return [EigenPair(float(a), np.array([1.0]), kind, 0.0)]
-    if t.order == 2:
-        cands = _matrix_candidates(t, cfg)
-    elif t.is_diagonal():
-        cands = _diagonal_candidates(t, sph)
-    else:
-        cands = _newton_candidates(t, sph, cfg)
-    return _finalize(t, sph, cands, cfg)
+    if _has_closed_form(t):
+        return [pair for _, pair, _ in solve_closed_forms(t, kind, np.arange(t.dim)[None, :], cfg)[0]]
+    L, W = _newton_candidates(t, sph, cfg)
+    _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)
+    return [EigenPair(float(v), w.copy(), kind, float(r)) for v, w, r in zip(L, W, res)]
+
+
+def solve_closed_forms(
+    t: Tensor, kind: Kind, subsets: np.ndarray, config: SolverConfig | None = None
+) -> tuple[list[tuple[tuple[int, ...], EigenPair, np.ndarray]], bool]:
+    """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
+
+    The rows, sorted index sets of one size, must each give a sub-tensor
+    with a closed form: a single index, order 2, or diagonal.  They are
+    solved together on `t`, without building a sub-tensor, in consecutive
+    chunks of at most _BATCH_CELLS candidate-row cells.  Returns the pairs
+    in subset order, each as (subset, pair, A y^{m-1}) with y the zero-filled
+    vector of the pair on `t`, and whether every sub-problem was solved
+    exhaustively (see `solved_exhaustively`).
+    """
+    sph = Sphere(kind, t.order)
+    cfg = config if config is not None else SolverConfig()
+    size = subsets.shape[1]
+    # a matrix sub-problem gives up to `size` rows; each row costs its dim^2
+    # Jacobian cells plus the monomial gathers behind them
+    row_cells = t.dim**2 + len(t.slices) * (t.order - 1) ** 2
+    step = max(1, _BATCH_CELLS // ((size if t.order == 2 else 1) * row_cells))
+    pairs, exhaustive = [], True
+    for lo in range(0, subsets.shape[0], step):
+        S, W, L, chunk_exhaustive = _closed_form(t, sph, subsets[lo : lo + step], cfg)
+        exhaustive &= bool(chunk_exhaustive.all())
+        S, W, L, res, C = _finalize(t, sph, S, W, L, cfg)
+        pairs.extend(
+            (tuple(s), EigenPair(float(v), w.copy(), kind, float(r)), c)
+            for s, w, v, r, c in zip(S.tolist(), W, L, res, C)
+        )
+    return pairs, exhaustive
 
 
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
@@ -142,40 +177,67 @@ def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = Non
     all entries equal on the m-norm sphere (H), or all entries zero on any
     sphere.
     """
-    if t.dim == 1:
-        return True
-    if t.order == 2:
-        cfg = config if config is not None else SolverConfig()
-        M = _matrix(t)
-        ev = np.linalg.eigvalsh(M) if t.symmetric else np.linalg.eigvals(M)
-        gaps = np.abs(ev[:, None] - ev[None, :]) + np.diag(np.full(ev.size, np.inf))
-        return bool(gaps.min() > cfg.tol * max(1.0, float(np.abs(ev).max())))
-    if not t.is_diagonal():
+    if not _has_closed_form(t):
         return False
-    d = t.diagonal_entries()
-    family_value = d[0] if Sphere(kind, t.order).k == t.order else 0.0
-    return not bool(np.all(d == family_value))
+    cfg = config if config is not None else SolverConfig()
+    return bool(_closed_form(t, Sphere(kind, t.order), np.arange(t.dim)[None, :], cfg)[3][0])
 
 
-def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Stacked residual F(w, value): eigen rows then the normalization row."""
-    F = np.empty((W.shape[0], t.dim + 1))
+def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, C: np.ndarray | None = None) -> np.ndarray:
+    """Stacked residual F(w, value): eigen rows then the normalization row.
+
+    C is t.contract_batch(W) when the caller already has it.
+    """
+    F = np.empty((W.shape[0], W.shape[1] + 1))
     level = sph.level(W)
-    F[:, : t.dim] = t.contract_batch(W) - L[:, None] * sph.rhs(W, level)
-    F[:, t.dim] = level - 1.0
+    F[:, :-1] = (t.contract_batch(W) if C is None else C) - L[:, None] * sph.rhs(W, level)
+    F[:, -1] = level - 1.0
     return F
 
 
-def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, JC: np.ndarray | None = None) -> np.ndarray:
+    """Jacobian of F; JC is t.contract_jacobian_batch(W) when the caller already has it."""
     B, d = W.shape
     J = np.zeros((B, d + 1, d + 1))
-    J[:, :d, :d] = t.contract_jacobian_batch(W) - L[:, None, None] * sph.rhs_jacobian(W)
+    J[:, :d, :d] = (t.contract_jacobian_batch(W) if JC is None else JC) - L[:, None, None] * sph.rhs_jacobian(W)
     J[:, :d, d] = -sph.rhs(W)
     J[:, d, :d] = sph.k * W ** (sph.k - 1)
     return J
 
 
+# -- principal sub-problems on the parent tensor ------------------------------
+#
+# Row r of a support array S (R, c) names the c indices of t on which row r
+# of W lives; the vector of t is zero elsewhere.  The interior system of the
+# principal sub-tensor on S[r] is then rows S[r] of t's contraction and the
+# S[r] x S[r] block of its Jacobian at that vector: every slice with an index
+# outside S[r] has a zero monomial there.
+
+
+def _embed_rows(dim: int, S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    Y = np.zeros((W.shape[0], dim))
+    np.put_along_axis(Y, S, W, axis=1)
+    return Y
+
+
+def _support_system(
+    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """F of the sub-problems on S at (W, L), and t's contraction at the zero-filled rows."""
+    C = t.contract_batch(_embed_rows(t.dim, S, W))
+    return _system_eval(t, sph, W, L, np.take_along_axis(C, S, axis=1)), C
+
+
+def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+    JC = t.contract_jacobian_batch(_embed_rows(t.dim, S, W))
+    return _system_jac(t, sph, W, L, JC[np.arange(W.shape[0])[:, None, None], S[:, :, None], S[:, None, :]])
+
+
 # -- closed-form routes -------------------------------------------------------
+
+
+def _has_closed_form(t: Tensor) -> bool:
+    return t.dim == 1 or t.order == 2 or t.is_diagonal()
 
 
 def _matrix(t: Tensor) -> np.ndarray:
@@ -186,51 +248,57 @@ def _matrix(t: Tensor) -> np.ndarray:
     return M
 
 
-def _matrix_candidates(t: Tensor, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
-    """Order 2: classical eigendecomposition; H and Z systems coincide."""
-    M = _matrix(t)
-    if t.symmetric:
-        vals, vecs = np.linalg.eigh(M)
-    else:
-        cvals, cvecs = np.linalg.eig(M)
-        keep = np.abs(cvals.imag) <= 1e-10
-        keep &= np.abs(cvecs.imag).max(axis=0) <= 1e-10
-        vals, vecs = cvals[keep].real, cvecs[:, keep].real
-    out = []
-    for k in range(vals.size):
-        v = vecs[:, k].copy()
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        if v.min() > cfg.pos_tol:
-            out.append((float(vals[k]), v))
-    return out
+def _closed_form(
+    t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates (S, W, L) of the principal sub-tensors on the rows of `subsets`,
+    and per row whether its sub-problem is solved exhaustively.
 
-
-def _diagonal_candidates(t: Tensor, sph: Sphere) -> list[tuple[float, np.ndarray]]:
-    """Diagonal tensors of order >= 3; exact interior pairs or none.
-
-    On a strictly positive vector the i-th eigen row reads d_i w_i^{m-1} =
-    value * rhs_i(w).  For H this forces d_i = lambda for every i, so pairs
-    exist only when all diagonal entries coincide.  For Z it forces
-    d_i w_i^{m-2} = mu for all i, solvable exactly when the entries share a
-    strict sign, with w_i proportional to |d_i|^(-1/(m-2)).
+    All rows have one size c and take one route:
+      * c = 1: the value a_{i...i} with w = (1).
+      * order 2: eigendecomposition of the stacked principal sub-matrices;
+        the H and Z systems coincide.  Eigenvectors are signed to a positive
+        largest entry, and complex or non-positive ones are dropped.  The
+        claim is withdrawn when two eigenvalues lie within the tolerance.
+      * diagonal, order >= 3: on a strictly positive vector the i-th eigen
+        row reads d_i w_i^{m-1} = value * rhs_i(w).  For H this forces
+        d_i = lambda for every i, so a pair exists only when all entries
+        coincide, and then the whole sphere is a family.  For Z it forces
+        d_i w_i^{m-2} = mu for all i, solvable exactly when the entries
+        share a strict sign, with w_i proportional to |d_i|^(-1/(m-2)); when
+        all entries are zero every vector pairs with 0.  A family is reported
+        by one representative and withdraws the claim.
     """
-    d = t.diagonal_entries()
+    N, c = subsets.shape
+    d = t.diagonal_entries()[subsets]
+    if c == 1:
+        return subsets, np.ones((N, 1)), d[:, 0], np.ones(N, dtype=bool)
+    if t.order == 2:
+        M = _matrix(t)[subsets[:, :, None], subsets[:, None, :]]
+        if t.symmetric:
+            ev, vecs = np.linalg.eigh(M)
+            real = np.ones((N, c), dtype=bool)
+        else:
+            ev, cvecs = np.linalg.eig(M)
+            real = (np.abs(ev.imag) <= 1e-10) & (np.abs(cvecs.imag).max(axis=1) <= 1e-10)
+            vecs = cvecs.real
+        gaps = np.abs(ev[:, :, None] - ev[:, None, :]) + np.diag(np.full(c, np.inf))
+        exhaustive = gaps.min(axis=(1, 2)) > cfg.tol * np.maximum(1.0, np.abs(ev).max(axis=1))
+        V = np.swapaxes(vecs, 1, 2)  # V[s, k] is eigenvector k of sub-matrix s
+        lead = np.take_along_axis(V, np.abs(V).argmax(axis=2)[:, :, None], axis=2)
+        V = np.where(lead < 0, -V, V)
+        rows, k = np.nonzero(real & (V.min(axis=2) > cfg.pos_tol))
+        return subsets[rows], V[rows, k], ev.real[rows, k], exhaustive
     m = t.order
     if sph.k == m:  # H
-        if np.all(d == d[0]):
-            w = np.full(t.dim, t.dim ** (-1.0 / m))
-            return [(float(d[0]), w)]
-        return []
-    if np.all(d == 0.0):
-        # every positive unit vector pairs with 0; report one representative
-        return [(0.0, np.full(t.dim, t.dim**-0.5))]
-    if np.all(d > 0) or np.all(d < 0):
-        u = np.abs(d) ** (-1.0 / (m - 2))
-        w = u / np.sqrt(np.sum(u * u))
-        mu = float(d[0] * w[0] ** (m - 2))
-        return [(mu, w)]
-    return []
+        family = (d == d[:, :1]).all(axis=1)
+        rows = np.flatnonzero(family)
+        return subsets[rows], np.full((rows.size, c), c ** (-1.0 / m)), d[rows, 0], ~family
+    zero = (d == 0.0).all(axis=1)
+    rows = np.flatnonzero(zero | (d > 0).all(axis=1) | (d < 0).all(axis=1))
+    u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
+    w = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
+    return subsets[rows], w, d[rows, 0] * w[:, 0] ** (m - 2), ~zero
 
 
 # -- multistart Newton --------------------------------------------------------
@@ -287,7 +355,8 @@ def _backtrack(
     return passed
 
 
-def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[float, np.ndarray]]:
+def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Values (R,) and vectors (R, dim) of the converged multistart members."""
     d = t.dim
     B = cfg.resolve_starts(d)
     rng = np.random.default_rng(cfg.seed)
@@ -334,61 +403,82 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> list[tuple[
             alive[act[streak[act] >= _STAGNATION_WINDOW]] = False
 
     roots = np.flatnonzero(alive & done)
-    return [(float(L[r]), W[r].copy()) for r in roots]
+    return L[roots], W[roots]
 
 
-def _polish(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A couple of undamped Newton steps to tighten renormalized roots.
+def _polish(
+    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A couple of undamped Newton steps to tighten renormalized roots on supports S.
 
-    Returns the new W and L and the system F(W, L) there.
+    Returns the new W and L, the system F(W, L) there and t's contraction at
+    the zero-filled rows.
     """
+    c = S.shape[1]
     with np.errstate(all="ignore"):
-        F = _system_eval(t, sph, W, L)
+        F, C = _support_system(t, sph, S, W, L)
         for _ in range(_POLISH_STEPS):
-            J = _system_jac(t, sph, W, L)
-            step = _solve_steps(J, F)
-            nW = W + step[:, : t.dim]
-            nL = L + step[:, t.dim]
+            step = _solve_steps(_support_jac(t, sph, S, W, L), F)
+            nW = W + step[:, :c]
+            nL = L + step[:, c]
             better = np.isfinite(nW).all(axis=1) & np.isfinite(nL)
-            nF = _system_eval(t, sph, np.where(better[:, None], nW, W), np.where(better, nL, L))
+            nF, nC = _support_system(t, sph, S, np.where(better[:, None], nW, W), np.where(better, nL, L))
             take = better & (np.abs(nF).max(axis=1) <= np.abs(F).max(axis=1))
             W = np.where(take[:, None], nW, W)
             L = np.where(take, nL, L)
             F = np.where(take[:, None], nF, F)
-    return W, L, F
+            C = np.where(take[:, None], nC, C)
+    return W, L, F, C
 
 
-def _finalize(t: Tensor, sph: Sphere, cands: list[tuple[float, np.ndarray]], cfg: SolverConfig) -> list[EigenPair]:
-    """Positivity filter, exact renormalization, polish, dedup, stable order."""
-    if not cands:
-        return []
-    W = np.array([w for _, w in cands])
-    L = np.array([v for v, _ in cands])
+def _finalize(
+    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Positivity filter, exact renormalization, polish, dedup, stable order.
+
+    Candidate r is (L[r], W[r]) on the support S[r].  Returns the rows that
+    pass and survive `_keep_first` as (S, W, L, residual, C), C being t's
+    contraction at the zero-filled vectors, sorted by support, then value,
+    then vector.
+    """
+    c = S.shape[1]
     interior = W.min(axis=1) > cfg.pos_tol
-    W, L = W[interior], L[interior]
+    S, W, L = S[interior], W[interior], L[interior]
     if W.shape[0] == 0:
-        return []
+        return S, W, L, np.empty(0), np.empty((0, t.dim))
     W = sph.normalize(W)
-    W, L, F = _polish(t, sph, W, L)
+    W, L, F, C = _polish(t, sph, S, W, L)
 
     with np.errstate(all="ignore"):
         res = np.abs(F).max(axis=1)
-        rows = F[:, : t.dim]
-        rhs = sph.rhs(W)
-        scale = t.contract_magnitude_batch(W) + np.abs(L)[:, None] * np.abs(rhs)
-        genuine = (np.abs(rows) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
+        magnitude = np.take_along_axis(t.contract_magnitude_batch(_embed_rows(t.dim, S, W)), S, axis=1)
+        scale = magnitude + np.abs(L)[:, None] * np.abs(sph.rhs(W))
+        genuine = (np.abs(F[:, :c]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
     keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > cfg.pos_tol) & genuine
-    W, L, res = W[keep], L[keep], res[keep]
-    if W.shape[0] == 0:
-        return []
+    keys = tuple(W[keep, j] for j in reversed(range(c))) + (L[keep],) + tuple(S[keep, j] for j in reversed(range(c)))
+    order = np.flatnonzero(keep)[np.lexsort(keys)]
+    S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]
+    kept = _keep_first(S, W, L, cfg.dedup_tol)
+    return S[kept], W[kept], L[kept], res[kept], C[kept]
 
-    order_idx = np.lexsort(tuple(W[:, j] for j in reversed(range(t.dim))) + (L,))
-    pairs: list[EigenPair] = []
-    for i in order_idx:
-        dup = any(
-            abs(L[i] - p.value) <= cfg.dedup_tol and np.abs(W[i] - p.vector).max() <= VECTOR_DEDUP_TOL
-            for p in pairs
-        )
-        if not dup:
-            pairs.append(EigenPair(float(L[i]), W[i].copy(), sph.kind, float(res[i])))
-    return pairs
+
+def _keep_first(S: np.ndarray, W: np.ndarray, L: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Mask of the rows that keep-first dedup keeps within each support.
+
+    Rows sharing a support are contiguous.  A row is dropped when an earlier
+    kept row of its support lies within dedup_tol in value and
+    VECTOR_DEDUP_TOL in vector.  Each round keeps the first remaining row of
+    every support and drops the remaining rows of that support within
+    tolerance of it, itself included, so there is one round per kept row of
+    the largest group, not one Python step per row.
+    """
+    group = np.cumsum(np.r_[True, (S[1:] != S[:-1]).any(axis=1)])
+    kept, left = np.zeros(L.size, dtype=bool), np.ones(L.size, dtype=bool)
+    while left.any():
+        rows = np.flatnonzero(left)
+        first = rows[np.r_[True, group[rows[1:]] != group[rows[:-1]]]]
+        lead = first[np.searchsorted(group[first], group[rows])]
+        kept[first] = True
+        near = (np.abs(L[rows] - L[lead]) <= dedup_tol) & (np.abs(W[rows] - W[lead]).max(axis=1) <= VECTOR_DEDUP_TOL)
+        left[rows[near]] = False
+    return kept

@@ -11,6 +11,13 @@ embedded by zero-filling, and is admissible exactly when the complement
 components of A y^{m-1} are nonnegative.  Enumerating all nonempty subsets
 N of the index set therefore produces the complete spectrum, up to the
 completeness of the per-subset interior solver.
+
+Subsets are enumerated by cardinality.  The sub-problems of one cardinality
+that have a closed form (a single index, order 2, or a diagonal sub-tensor,
+which bitmasks of the parent's off-diagonal slices detect) are solved as one
+batch on the parent tensor, and their complement slacks are read from the
+parent contraction of that solve.  Only the remaining sub-problems, solved
+by multistart Newton, build a principal sub-tensor.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_interior, solved_exhaustively
+from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_closed_forms, solve_interior
 from .tensor import Kind, Sphere, Tensor, embed
 
 DEFAULT_SLACK_TOL = 1e-9
@@ -78,8 +85,7 @@ def complement_slacks(t: Tensor, subset, w: np.ndarray) -> np.ndarray:
     sub = tuple(sorted(int(i) for i in subset))
     y = embed(np.asarray(w, dtype=np.float64), sub, t.dim)
     c = t.apply_contract(y)
-    comp = [i for i in range(t.dim) if i not in set(sub)]
-    return c[comp]
+    return np.delete(c, sub)
 
 
 def pareto_spectrum(
@@ -106,32 +112,43 @@ def pareto_spectrum(
             f"2^{t.dim} principal sub-tensors"
         )
     cfg = config if config is not None else SolverConfig()
+    diagonal = t.diagonal_subsets() if t.order > 2 else None
     items: list[SubsetCertificate] = []
     # values and vectors of the kept items, in rows 0..len(items)-1
     values, vectors = np.empty(16), np.empty((16, t.dim))
     complete = True
     for card in range(1, t.dim + 1):
-        for subset in itertools.combinations(range(t.dim), card):
-            sub = t.principal_subtensor(subset)
-            if not solved_exhaustively(sub, kind, cfg):
-                complete = False
-            for pair in solve_interior(sub, kind, cfg):
+        subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
+        closed = np.ones(len(subsets), dtype=bool)
+        if card > 1 and diagonal is not None:
+            closed = diagonal[np.left_shift(1, subsets).sum(axis=1)]
+        # (subset, pair, contraction of t at the pair's zero-filled vector or None)
+        found, exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
+        complete &= exhaustive
+        for subset in map(tuple, subsets[~closed].tolist()):
+            complete = False  # multistart Newton carries no completeness claim
+            found.extend((subset, pair, None) for pair in solve_interior(t.principal_subtensor(subset), kind, cfg))
+        found.sort(key=lambda f: f[0])  # stable, so each subset keeps its value order
+        for subset, pair, contraction in found:
+            if contraction is None:
                 slacks = complement_slacks(t, subset, pair.vector)
-                if slacks.size and float(slacks.min()) < -slack_tol:
-                    continue
-                cert = SubsetCertificate(
-                    subset=subset,
-                    pair=pair,
-                    vector=embed(pair.vector, subset, t.dim),
-                    slacks=slacks,
-                    boundary=bool(slacks.size and float(slacks.min()) < 0.0),
-                )
-                n = len(items)
-                if not _duplicates_earlier(cert, values[:n], vectors[:n], cfg.dedup_tol):
-                    if n == values.size:
-                        values, vectors = np.resize(values, 2 * n), np.resize(vectors, (2 * n, t.dim))
-                    values[n], vectors[n] = cert.value, cert.vector
-                    items.append(cert)
+            else:
+                slacks = np.delete(contraction, subset)
+            if slacks.size and float(slacks.min()) < -slack_tol:
+                continue
+            cert = SubsetCertificate(
+                subset=subset,
+                pair=pair,
+                vector=embed(pair.vector, subset, t.dim),
+                slacks=slacks,
+                boundary=bool(slacks.size and float(slacks.min()) < 0.0),
+            )
+            n = len(items)
+            if not _duplicates_earlier(cert, values[:n], vectors[:n], cfg.dedup_tol):
+                if n == values.size:
+                    values, vectors = np.resize(values, 2 * n), np.resize(vectors, (2 * n, t.dim))
+                values[n], vectors[n] = cert.value, cert.vector
+                items.append(cert)
     min_value = min((c.value for c in items), default=None)
     return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
 

@@ -17,7 +17,15 @@ from paretospec.eigen import (
     solve_interior,
     solved_exhaustively,
 )
-from paretospec.eigen import _MAX_HALVINGS, _backtrack, _newton_candidates, _system_eval, _system_jac
+from paretospec.eigen import (
+    VECTOR_DEDUP_TOL,
+    _MAX_HALVINGS,
+    _backtrack,
+    _keep_first,
+    _newton_candidates,
+    _system_eval,
+    _system_jac,
+)
 from paretospec.minimize import _MAX_BACKTRACKS
 from paretospec.tensor import Sphere, build, knorm
 
@@ -207,9 +215,9 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     d = rng.uniform(0.5, 2.0, size=3)
     t = build(4, 3, [((i,) * 4, float(d[i])) for i in range(3)])
     closed = solve_interior(t, "Z")
-    newton_raw = _newton_candidates(t, Sphere("Z", 4), SolverConfig(starts=200, seed=3))
-    assert newton_raw, "multistart found nothing on a solvable diagonal"
-    vals = {round(v, 9) for v, w in newton_raw if w.min() > 1e-8}
+    values, vectors = _newton_candidates(t, Sphere("Z", 4), SolverConfig(starts=200, seed=3))
+    assert values.size, "multistart found nothing on a solvable diagonal"
+    vals = {round(v, 9) for v, w in zip(values, vectors) if w.min() > 1e-8}
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
@@ -377,3 +385,24 @@ def test_config_validation():
         solve_interior(fixtures.shifted_cubic()[0], "Q")
     with pytest.warns(UserWarning):
         SolverConfig(dedup_tol=1e-12, tol=1e-10)
+
+
+def test_keep_first_matches_greedy_loop():
+    # Clusters straddle both tolerances, and chains a~b, b~c with a !~ c keep
+    # a and c; rows sharing a support are contiguous, as _finalize sorts them.
+    rng = np.random.default_rng(12)
+    tol = 1e-8
+    S = np.repeat(np.array([[0, 1], [0, 2], [1, 2], [1, 3]]), [1, 9, 30, 40], axis=0)
+    L = np.round(rng.uniform(0, 3, size=S.shape[0]), 0) + rng.choice([0.0, 0.6, 0.9, 1.1, 1.6], size=S.shape[0]) * tol
+    W = 0.5 + rng.choice([0.0, 0.6, 0.9, 1.1, 1.6], size=S.shape) * VECTOR_DEDUP_TOL
+    kept = _keep_first(S, W, L, tol)
+
+    want = np.zeros(S.shape[0], dtype=bool)
+    for i in range(S.shape[0]):
+        same = (S[:i] == S[i]).all(axis=1) & want[:i]
+        want[i] = not any(
+            abs(L[i] - L[k]) <= tol and np.abs(W[i] - W[k]).max() <= VECTOR_DEDUP_TOL for k in np.flatnonzero(same)
+        )
+    np.testing.assert_array_equal(kept, want)
+    assert 4 < kept.sum() < S.shape[0] - 4
+    assert _keep_first(S[:0], W[:0], L[:0], tol).shape == (0,)

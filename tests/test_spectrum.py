@@ -1,11 +1,15 @@
 """Spectrum enumeration, slack admissibility, verification, minimum."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import paretospec.eigen as eigen_mod
 from paretospec import fixtures
-from paretospec.eigen import EigenPair, SolverConfig
+from paretospec.eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import (
+    DEFAULT_SLACK_TOL,
     EmptySpectrumError,
     ParetoSpectrum,
     SubsetCertificate,
@@ -154,8 +158,6 @@ def test_matrix_spectrum_matches_principal_submatrix_oracle():
     assert spec.complete
 
     want = []
-    import itertools
-
     for card in range(1, n + 1):
         for subset in itertools.combinations(range(n), card):
             ms = m[np.ix_(subset, subset)]
@@ -278,6 +280,87 @@ def test_min_pareto_empty_spectrum_error(monkeypatch):
     t, _ = fixtures.shifted_cubic()
     import paretospec.spectrum as spectrum_mod
 
+    # closed-form sub-problems (here the singletons) are solved in batches,
+    # the others one by one; neither route finds anything
+    monkeypatch.setattr(spectrum_mod, "solve_closed_forms", lambda *a, **k: ([], True))
     monkeypatch.setattr(spectrum_mod, "solve_interior", lambda *a, **k: [])
     with pytest.raises(EmptySpectrumError):
         min_pareto(t, "H", FAST)
+
+
+def _reference_spectrum(t, kind, cfg):
+    """The spectrum built one subset at a time, from its principal sub-tensor.
+
+    Returns (subset, value, vector, slacks, boundary) per kept pair, keeping
+    the first of any two pairs within dedup_tol in value and VECTOR_DEDUP_TOL
+    in vector, and whether every sub-problem was solved exhaustively.
+    """
+    items, complete = [], True
+    for card in range(1, t.dim + 1):
+        for subset in itertools.combinations(range(t.dim), card):
+            sub = t.principal_subtensor(subset)
+            complete &= solved_exhaustively(sub, kind, cfg)
+            for pair in solve_interior(sub, kind, cfg):
+                slacks = complement_slacks(t, subset, pair.vector)
+                if slacks.size and slacks.min() < -DEFAULT_SLACK_TOL:
+                    continue
+                y = embed(pair.vector, subset, t.dim)
+                if any(abs(pair.value - v) <= cfg.dedup_tol and np.abs(y - w).max() <= VECTOR_DEDUP_TOL
+                       for _, v, w, _, _ in items):
+                    continue
+                items.append((subset, pair.value, y, slacks, bool(slacks.size and slacks.min() < 0.0)))
+    return items, complete
+
+
+def _matrix_tensor(m):
+    n = m.shape[0]
+    return build(2, n, [((i, j), float(m[i, j])) for i in range(n) for j in range(n)])
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(77)
+    sym = rng.uniform(-1, 1, size=(5, 5))
+    # Perron-like: a positive eigenvector on most subsets, complex pairs on some
+    nonsym = rng.uniform(0.0, 1.0, size=(5, 5)) - 0.3 * np.eye(5)
+    yield "matrix-symmetric", _matrix_tensor((sym + sym.T) / 2)
+    # Eigenvalue 1 is repeated on every principal sub-matrix of size >= 3, so
+    # those withdraw `complete`.  Its eigenspace, the vectors summing to zero,
+    # holds no nonnegative vector.  Where a repeated eigenspace does meet a
+    # face of the orthant, its pairs there have slacks that are zero in exact
+    # arithmetic, and rounding decides their `boundary` flag in either route.
+    yield "matrix-repeated-eigenvalue", _matrix_tensor(np.eye(5) + 0.1 * np.ones((5, 5)))
+    yield "matrix-nonsymmetric", _matrix_tensor(nonsym)
+    # the singleton (0,) is admitted with the tolerated slack -1e-10
+    yield "matrix-boundary", _matrix_tensor(np.array([[1.0, 0.2, 0.1], [-1e-10, 2.0, 0.3], [0.0, 0.4, 3.0]]))
+    for order, d in (
+        (3, [1.5, 1.5, 1.5, 1.5, 1.5]),
+        (3, [0.0, 0.0, 2.0, 0.0, -1.0]),
+        (4, [1.0, -2.0, 0.5, 3.0, -0.25]),
+        (5, [2.0, 2.0, -1.0, 0.0, 0.75]),
+    ):
+        yield f"diagonal-m{order}-{d}", build(order, 5, [((i,) * order, v) for i, v in enumerate(d)])
+    # off-diagonal slices only on {0, 1} and {1, 2, 3}: subsets without 0 and 1
+    # together and without 1, 2 and 3 together stay diagonal
+    yield "sparse-m3", build(
+        3, 4, [((0, 0, 0), 1.0), ((1, 1, 1), 2.0), ((2, 2, 2), -1.0), ((3, 3, 3), 0.5),
+               ((0, 0, 1), -0.7), ((1, 2, 3), 0.4)], symmetrize=True)
+    yield "sparse-m4", build(
+        4, 4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 1.0), ((2, 2, 2, 2), 2.0), ((3, 3, 3, 3), 3.0),
+               ((0, 1, 1, 1), -0.5), ((2, 2, 3, 3), 0.3)], symmetrize=True)
+
+
+@pytest.mark.parametrize("batch_cells", [None, 1, 200], ids=["default-chunks", "one-subset-chunks", "small-chunks"])
+def test_batched_spectrum_matches_per_subset_reference(monkeypatch, batch_cells):
+    if batch_cells is not None:
+        monkeypatch.setattr(eigen_mod, "_BATCH_CELLS", batch_cells)
+    for name, t in _equivalence_cases():
+        for kind in ("H", "Z"):
+            want, want_complete = _reference_spectrum(t, kind, FAST)
+            spec = pareto_spectrum(t, kind, FAST)
+            where = f"{name} {kind}"
+            assert [(c.subset, c.boundary) for c in spec.items] == [(w[0], w[4]) for w in want], where
+            for c, (_, value, vector, slacks, _) in zip(spec.items, want):
+                assert abs(c.value - value) <= 1e-12, (where, c.subset)
+                np.testing.assert_allclose(c.vector, vector, rtol=0, atol=1e-12, err_msg=where)
+                np.testing.assert_allclose(c.slacks, slacks, rtol=0, atol=1e-12, err_msg=where)
+            assert spec.complete == want_complete, where
