@@ -336,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--seed", type=int, default=0, help="multistart seed (default 0)")
     solver.add_argument("--starts", type=int, default=None,
-                        help="multistart count per sub-problem (default 200 per dimension)")
+                        help="multistart count per Newton sub-problem, which only those of 3 or more "
+                             "indices without a closed form take, and per minimize run "
+                             "(default 200 per dimension)")
     solver.add_argument("--tol", type=float, default=1e-10,
                         help="solver residual tolerance (default 1e-10)")
 

@@ -13,6 +13,10 @@ is appended.  Special structure is solved exactly:
 
   * d = 1: the single diagonal coefficient with w = (1).
   * m = 2: dense eigendecomposition; the two kinds coincide.
+  * d = 2, m >= 3: with w = (1, s) the system reduces to one univariate
+    polynomial of degree <= 2(m-1) (H) or <= m (Z), the generic eigenvalue
+    counts for d = 2, whose roots come from a companion-matrix eigensolve
+    (or a closed form when it has two terms).
   * diagonal tensors, m >= 3: closed forms (H-pairs exist only when all
     diagonal entries are equal; Z-pairs exactly when they share a strict
     sign, with w_i proportional to |d_i|^(-1/(m-2))).
@@ -22,10 +26,10 @@ once (`solve_closed_forms`): candidate rows carry their index subset, and
 the polish and filters read each sub-problem off the parent's contraction at
 the zero-filled vector, so no sub-tensor is built.
 
-Everything else goes through a damped Newton iteration run from many random
-starts at once; the whole batch moves in lockstep through vectorized
-contraction kernels.  Multistart is a heuristic: it can miss roots, so no
-completeness claim is attached to its output.
+Everything else (d >= 3, not diagonal) goes through a damped Newton
+iteration run from many random starts at once; the whole batch moves in
+lockstep through vectorized contraction kernels.  Multistart is a heuristic:
+it can miss roots, so no completeness claim is attached to its output.
 
 The damping is a backtracking line search over the step lengths 2^-r,
 r = 0..30, and each member takes the first one that cuts its residual
@@ -139,7 +143,7 @@ def solve_closed_forms(
     """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
 
     The rows, sorted index sets of one size, must each give a sub-tensor
-    with a closed form: a single index, order 2, or diagonal.  They are
+    with a closed form: one or two indices, order 2, or diagonal.  They are
     solved together on `t`, without building a sub-tensor, in consecutive
     chunks of at most _BATCH_CELLS candidate-row cells.  Returns the pairs
     in subset order, each as (subset, pair, A y^{m-1}) with y the zero-filled
@@ -149,10 +153,12 @@ def solve_closed_forms(
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     size = subsets.shape[1]
-    # a matrix sub-problem gives up to `size` rows; each row costs its dim^2
-    # Jacobian cells plus the monomial gathers behind them
+    # a matrix sub-problem gives up to `size` rows and a 2-index one up to
+    # 2(m-1); each row costs its dim^2 Jacobian cells plus the monomial
+    # gathers behind them
     row_cells = t.dim**2 + len(t.slices) * (t.order - 1) ** 2
-    step = max(1, _BATCH_CELLS // ((size if t.order == 2 else 1) * row_cells))
+    per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
+    step = max(1, _BATCH_CELLS // (per_subset * row_cells))
     pairs, exhaustive = [], True
     for lo in range(0, subsets.shape[0], step):
         S, W, L, chunk_exhaustive = _closed_form(t, sph, subsets[lo : lo + step], cfg)
@@ -168,14 +174,19 @@ def solve_closed_forms(
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
     """True when solve_interior returns every interior pair, not a heuristic subset.
 
-    Mirrors its dispatch: dimension 1, order 2 and diagonal tensors are
-    solved exactly.  Where the interior pairs may form a positive-dimensional
-    family, the solver reports at most one representative, so the claim is
-    withdrawn: a matrix with a repeated eigenvalue (two eigenvalues closer
-    than the solver tolerance, relative to the largest), whose eigenspace
-    gets one basis vector per copy; a diagonal tensor of dimension >= 2 with
-    all entries equal on the m-norm sphere (H), or all entries zero on any
-    sphere.
+    Mirrors its dispatch: dimension 1 or 2, order 2 and diagonal tensors
+    are solved exactly.  Where the interior pairs may form a
+    positive-dimensional family, the solver reports at most one
+    representative, so the claim is withdrawn: a matrix with a repeated
+    eigenvalue (two eigenvalues closer than the solver tolerance, relative
+    to the largest), whose eigenspace gets one basis vector per copy; a
+    dimension-2 tensor whose reduced polynomial vanishes identically (this
+    includes equal diagonal entries for H and the zero tensor); a diagonal
+    tensor with all entries equal on the m-norm sphere (H), or all entries
+    zero on any sphere.  A dimension-2 tensor also withdraws it when two
+    positive roots of its polynomial lie within sqrt(tol) of each other, as
+    a near-double root does: whether such a pair is real is decided by
+    rounding.
     """
     if not _has_closed_form(t):
         return False
@@ -237,7 +248,7 @@ def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.nda
 
 
 def _has_closed_form(t: Tensor) -> bool:
-    return t.dim == 1 or t.order == 2 or t.is_diagonal()
+    return t.dim <= 2 or t.order == 2 or t.is_diagonal()
 
 
 def _matrix(t: Tensor) -> np.ndarray:
@@ -256,12 +267,13 @@ def _closed_form(
 
     All rows have one size c and take one route:
       * c = 1: the value a_{i...i} with w = (1).
+      * c = 2, order >= 3: the roots of one polynomial (`_two_index`).
       * order 2: eigendecomposition of the stacked principal sub-matrices;
         the H and Z systems coincide.  Eigenvectors are signed to a positive
         largest entry, and complex or non-positive ones are dropped.  The
         claim is withdrawn when two eigenvalues lie within the tolerance.
-      * diagonal, order >= 3: on a strictly positive vector the i-th eigen
-        row reads d_i w_i^{m-1} = value * rhs_i(w).  For H this forces
+      * diagonal, order >= 3, c >= 3: on a strictly positive vector the
+        i-th eigen row reads d_i w_i^{m-1} = value * rhs_i(w).  For H this forces
         d_i = lambda for every i, so a pair exists only when all entries
         coincide, and then the whole sphere is a family.  For Z it forces
         d_i w_i^{m-2} = mu for all i, solvable exactly when the entries
@@ -273,6 +285,8 @@ def _closed_form(
     d = t.diagonal_entries()[subsets]
     if c == 1:
         return subsets, np.ones((N, 1)), d[:, 0], np.ones(N, dtype=bool)
+    if c == 2 and t.order > 2:
+        return _two_index(t, sph, subsets, cfg)
     if t.order == 2:
         M = _matrix(t)[subsets[:, :, None], subsets[:, None, :]]
         if t.symmetric:
@@ -299,6 +313,77 @@ def _closed_form(
     u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
     w = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
     return subsets[rows], w, d[rows, 0] * w[:, 0] ** (m - 2), ~zero
+
+
+def _two_index(
+    t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `_closed_form` route for 2-index subsets (i, j) of an order m >= 3 tensor.
+
+    On w = (1, s) the eigen rows read p_i(s) = value * rhs_i(w) and
+    p_j(s) = value * rhs_j(w), with p_a(s) = (A w^{m-1})_a.  Eliminating the
+    value leaves one polynomial, p_j - s^{m-1} p_i (H, degree <= 2(m-1)) or
+    p_j - s p_i (Z, degree <= m), whose positive roots are the interior
+    pairs.  Slice r feeds p_a when its lead is a and its trailing indices lie
+    in {i, j}, at the power of s that counts the j's among them.  Exact-zero
+    end coefficients are roots at w = (1, 0) or (0, 1), off the interior, so
+    they are divided out.  What is left of a binomial, such as the
+    polynomial of every diagonal sub-tensor, has its one positive root in
+    closed form.  The other polynomials take one companion-matrix eigensolve
+    per degree, and a root is kept when its real part is positive and its
+    imaginary part is within sqrt(tol) of its modulus: a double root comes
+    back split by about the square root of the rounding, as a real or a
+    complex pair.  The claim is withdrawn when two kept roots lie within
+    sqrt(tol) in angle arctan(s) (a conjugate pair always does), and when
+    the polynomial vanishes, a family of pairs reported by w = (1, 1).
+    """
+    N, m = subsets.shape[0], t.order
+    i, j = subsets[:, :1], subsets[:, 1:]
+    trail_inside = ((t._trail == i[:, :, None]) | (t._trail == j[:, :, None])).all(axis=2)
+    rows, r = np.nonzero(trail_inside & ((t._lead == i) | (t._lead == j)))
+    P = np.zeros((N, 2, m))  # P[n, a, k]: coefficient of s^k in p_a, a = 0 for i, 1 for j
+    P[rows, (t._lead[r] == j[rows, 0]).astype(np.intp), (t._trail[r] == j[rows]).sum(axis=1)] = t._coef[r]
+    shift = m - 1 if sph.k == m else 1
+    q = np.zeros((N, m + shift))  # ascending coefficients of p_j - s^shift p_i
+    q[:, :m] += P[:, 1]
+    q[:, shift:] -= P[:, 0]
+
+    nonzero = q != 0.0
+    family = ~nonzero.any(axis=1)
+    lo = nonzero.argmax(axis=1)
+    hi = q.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    deg = np.where(family, 0, hi - lo)
+    # c_lo + c_hi s^deg (every diagonal sub-tensor's polynomial) has at most
+    # one positive root, and its other roots lie 2 pi / deg or more off the axis
+    two = np.flatnonzero(nonzero.sum(axis=1) == 2)
+    deg[two] = 0
+    ratio = -q[two, lo[two]] / q[two, hi[two]]
+    two, ratio = two[ratio > 0], ratio[ratio > 0]
+    sep = np.sqrt(cfg.tol)
+    owner, roots = [np.flatnonzero(family), two], [np.ones(family.sum()), ratio ** (1.0 / (hi - lo)[two])]
+    for dd in np.unique(deg[deg > 0]):
+        g = np.flatnonzero(deg == dd)
+        coef = np.take_along_axis(q[g], lo[g, None] + np.arange(dd + 1), axis=1)
+        comp = np.zeros((g.size, dd, dd))
+        comp[:, 0, :] = -coef[:, dd - 1 :: -1] / coef[:, dd:]
+        comp[:, np.arange(1, dd), np.arange(dd - 1)] = 1.0
+        z = np.linalg.eigvals(comp)
+        member, k = np.nonzero((z.real > 0) & (np.abs(z.imag) <= sep * np.abs(z)))
+        owner.append(g[member])
+        roots.append(z.real[member, k])
+    owner, s = np.concatenate(owner), np.concatenate(roots)
+
+    by_root = np.lexsort((s, owner))
+    owner, s = owner[by_root], s[by_root]
+    angle = np.arctan(s)
+    close = np.zeros(N, dtype=bool)
+    close[owner[1:][(owner[1:] == owner[:-1]) & (np.diff(angle) <= sep)]] = True
+    W = np.stack([np.ones_like(s), s], axis=1)
+    p_i = np.zeros_like(s)
+    for k in reversed(range(m)):  # Horner
+        p_i = p_i * s + P[owner, 0, k]
+    L = p_i / sph.rhs(W)[:, 0]
+    return subsets[owner], W, L, ~(family | close)
 
 
 # -- multistart Newton --------------------------------------------------------

@@ -13,11 +13,12 @@ N of the index set therefore produces the complete spectrum, up to the
 completeness of the per-subset interior solver.
 
 Subsets are enumerated by cardinality.  The sub-problems of one cardinality
-that have a closed form (a single index, order 2, or a diagonal sub-tensor,
-which bitmasks of the parent's off-diagonal slices detect) are solved as one
-batch on the parent tensor, and their complement slacks are read from the
-parent contraction of that solve.  Only the remaining sub-problems, solved
-by multistart Newton, build a principal sub-tensor.
+that have a closed form (one or two indices, order 2, or a diagonal
+sub-tensor, which bitmasks of the parent's off-diagonal slices detect) are
+solved as one batch on the parent tensor, and their complement slacks are
+read from the parent contraction of that solve.  Only the remaining
+sub-problems, of three or more indices and solved by multistart Newton,
+build a principal sub-tensor.  So a dimension-2 tensor is solved exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_closed_forms
 from .tensor import Kind, Sphere, Tensor, embed
 
 DEFAULT_SLACK_TOL = 1e-9
+# A complement slack counts as negative for the `boundary` flag only below
+# this multiple of its own magnitude: the rounding of a slack that is zero
+# in exact arithmetic stays within a few ulps of that scale.
+_BOUNDARY_EPS = 64 * np.finfo(np.float64).eps
 # 2^16 subsets is the largest enumeration accepted by default.
 DIM_GUARD = 16
 
@@ -47,8 +52,8 @@ class SubsetCertificate:
     `pair` is the interior eigenpair of the principal sub-tensor; `vector` is
     its zero-filled embedding (unit m-norm for H, unit 2-norm for Z).
     `slacks` holds the complement components of A y^{m-1} - value * rhs in
-    ascending index order; `boundary` marks a slack inside (-slack_tol, 0),
-    admitted by tolerance only.
+    ascending index order; `boundary` marks a slack inside (-slack_tol, 0)
+    beyond the rounding of a zero slack, admitted by tolerance only.
     """
 
     subset: tuple[int, ...]
@@ -100,8 +105,9 @@ def pareto_spectrum(
     Duplicate pairs reachable from several subsets keep the certificate of
     the smallest (then lexicographically first) subset.  The `complete` flag
     is True only when every sub-problem was solved by an exhaustive method
-    (see `solved_exhaustively`: dimension 1, order 2, or diagonal without a
-    positive-dimensional family); any multistart sub-solve withdraws the claim.
+    (see `solved_exhaustively`: dimension 1 or 2, order 2, or diagonal,
+    without a positive-dimensional family or a near-double root); any
+    multistart sub-solve withdraws the claim.
     """
     Sphere(kind, t.order)  # rejects an unknown kind before any subset is solved
     if not slack_tol > 0:
@@ -120,7 +126,7 @@ def pareto_spectrum(
     for card in range(1, t.dim + 1):
         subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
         closed = np.ones(len(subsets), dtype=bool)
-        if card > 1 and diagonal is not None:
+        if card > 2 and diagonal is not None:
             closed = diagonal[np.left_shift(1, subsets).sum(axis=1)]
         # (subset, pair, contraction of t at the pair's zero-filled vector or None)
         found, exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
@@ -136,12 +142,9 @@ def pareto_spectrum(
                 slacks = np.delete(contraction, subset)
             if slacks.size and float(slacks.min()) < -slack_tol:
                 continue
+            y = embed(pair.vector, subset, t.dim)
             cert = SubsetCertificate(
-                subset=subset,
-                pair=pair,
-                vector=embed(pair.vector, subset, t.dim),
-                slacks=slacks,
-                boundary=bool(slacks.size and float(slacks.min()) < 0.0),
+                subset=subset, pair=pair, vector=y, slacks=slacks, boundary=_boundary(t, subset, y, slacks)
             )
             n = len(items)
             if not _duplicates_earlier(cert, values[:n], vectors[:n], cfg.dedup_tol):
@@ -151,6 +154,19 @@ def pareto_spectrum(
                 items.append(cert)
     min_value = min((c.value for c in items), default=None)
     return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
+
+
+def _boundary(t: Tensor, subset: tuple[int, ...], y: np.ndarray, slacks: np.ndarray) -> bool:
+    """Whether a complement slack at the zero-filled y is negative beyond its rounding.
+
+    A slack that is zero in exact arithmetic comes out as a few ulps of
+    either sign; only one below -_BOUNDARY_EPS times the magnitude of its
+    own monomials counts.
+    """
+    if not slacks.size or slacks.min() >= 0.0:
+        return False
+    scale = np.delete(t.contract_magnitude_batch(y[None, :])[0], subset)
+    return bool((slacks < -_BOUNDARY_EPS * scale).any())
 
 
 def _duplicates_earlier(cert: SubsetCertificate, values: np.ndarray, vectors: np.ndarray, dedup_tol: float) -> bool:

@@ -325,13 +325,13 @@ class Sphere:
         return self.order if self.kind == "H" else 2
 
     def level(self, W: np.ndarray) -> np.ndarray:
-        return np.sum(W**self.k, axis=-1)
+        return np.sum(_ipow(W, self.k), axis=-1)
 
     def rhs(self, W: np.ndarray, level: np.ndarray | None = None) -> np.ndarray:
         """rhs(w) per row; `level` is level(W) when the caller already has it."""
         m, k = self.order, self.k
         s = self.level(W) if level is None else level
-        return (s ** ((m - k) / k))[..., None] * W ** (k - 1)
+        return (s ** ((m - k) / k))[..., None] * _ipow(W, k - 1)
 
     def rhs_jacobian(self, W: np.ndarray) -> np.ndarray:
         """d rhs / dw for a batch of rows; shape (B, n, n)."""
@@ -343,11 +343,25 @@ class Sphere:
             # by zero, because its factor level^(-1) is inf at w = 0.
             J = np.zeros((B, n, n))
         else:
-            P = W ** (k - 1)
+            P = _ipow(W, k - 1)
             J = (m - k) * (s ** ((m - 2 * k) / k))[:, None, None] * (P[:, :, None] * P[:, None, :])
-        J[:, np.arange(n), np.arange(n)] += (s ** ((m - k) / k))[:, None] * ((k - 1) * W ** (k - 2))
+        J[:, np.arange(n), np.arange(n)] += (s ** ((m - k) / k))[:, None] * ((k - 1) * _ipow(W, k - 2))
         return J
 
     def normalize(self, W: np.ndarray) -> np.ndarray:
         """Rows scaled to unit k-norm; an all-zero row comes back NaN."""
-        return W / (np.sum(np.abs(W) ** self.k, axis=-1) ** (1.0 / self.k))[..., None]
+        return W / (np.sum(_ipow(np.abs(W), self.k), axis=-1) ** (1.0 / self.k))[..., None]
+
+
+def _ipow(W: np.ndarray, p: int) -> np.ndarray:
+    """W**p for an integer p >= 0 by repeated multiplication.
+
+    numpy sends an integer exponent above 2 through the general pow, which
+    costs about three times W*W*W.
+    """
+    if p < 2:
+        return np.ones_like(W) if p == 0 else W
+    out = W * W
+    for _ in range(p - 2):
+        out *= W  # in place: no third array alive at once
+    return out

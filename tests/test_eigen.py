@@ -21,6 +21,7 @@ from paretospec.eigen import (
     VECTOR_DEDUP_TOL,
     _MAX_HALVINGS,
     _backtrack,
+    _finalize,
     _keep_first,
     _newton_candidates,
     _system_eval,
@@ -29,7 +30,7 @@ from paretospec.eigen import (
 from paretospec.minimize import _MAX_BACKTRACKS
 from paretospec.tensor import Sphere, build, knorm
 
-from conftest import random_entries, random_symmetric_tensor
+from conftest import dense_contract, dense_from_entries, dense_symmetrize, random_entries, random_symmetric_tensor
 
 FAST = SolverConfig(starts=150, seed=1)
 
@@ -210,6 +211,105 @@ def test_parametric_quartic_interior_h_pair():
     np.testing.assert_allclose(pairs[0].vector, expected["interior_vector"], atol=1e-9)
 
 
+def two_index_polynomial(a: np.ndarray, kind: str) -> np.ndarray:
+    """Coefficients, ascending in s, of the polynomial of a dense dimension-2 tensor.
+
+    With p_a(s) = (A w^{m-1})_a at w = (1, s), summed entry by entry, its
+    positive roots give the interior pairs: p_1 - s^{m-1} p_0 (H) or
+    p_1 - s p_0 (Z).
+    """
+    m = a.ndim
+    p = np.zeros((2, m))
+    for idx in np.ndindex(a.shape):
+        p[idx[0], sum(idx[1:])] += a[idx]
+    shift = m - 1 if kind == "H" else 1
+    q = np.zeros(m + shift)
+    q[:m] += p[1]
+    q[shift:] -= p[0]
+    return q
+
+
+def two_index_oracle(a: np.ndarray, kind: str, imag_tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
+    """Interior (value, unit vector) pairs of a dense dimension-2 tensor from numpy.roots."""
+    m = a.ndim
+    q = two_index_polynomial(a, kind)
+    out = []
+    for z in np.roots(q[::-1]):
+        if z.real > 0 and abs(z.imag) <= imag_tol * abs(z):
+            w = np.array([1.0, z.real])
+            w /= knorm(w, m if kind == "H" else 2)
+            # the value from the row of the larger entry, on the unit vector
+            k = int(w.argmax())
+            rhs = w[k] ** (m - 1) if kind == "H" else w[k]
+            out.append((dense_contract(a, w)[k] / rhs, w))
+    return out
+
+
+def assert_pairs_match(pairs, want, tol=1e-9):
+    """The pairs equal the wanted (value, vector) list up to order, within tol."""
+    got = [(p.value, p.vector) for p in pairs]
+    assert len(got) == len(want), (got, want)
+    for wv, ww in want:
+        near = [abs(gv - wv) <= tol * max(1.0, abs(wv)) and np.abs(gw - ww).max() <= tol for gv, gw in got]
+        assert sum(near) == 1, (wv, ww, got)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_two_index_route_matches_newton_and_roots_oracle(order):
+    rng = np.random.default_rng(300 + order)
+    cases = [True, True, False, False, False]  # symmetrized or not; few entries leave zero coefficients
+    for symmetric in cases:
+        entries = random_entries(rng, order, 2, int(rng.integers(2, 4 * order)))
+        t = build(order, 2, entries, symmetrize=symmetric)
+        a = dense_from_entries(order, 2, entries)
+        if symmetric:
+            a = dense_symmetrize(a)
+        for kind in ("H", "Z"):
+            exact = solve_interior(t, kind)
+            assert solved_exhaustively(t, kind) is True
+            assert_pairs_match(exact, two_index_oracle(a, kind))
+            sph = Sphere(kind, order)
+            L, W = _newton_candidates(t, sph, FAST)
+            _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(2), W.shape), W, L, FAST)
+            assert_pairs_match([EigenPair(v, w, kind, 0.0) for v, w in zip(L, W)], two_index_oracle(a, kind))
+
+
+def test_two_index_zero_polynomial_withdraws_complete():
+    # A x^4 = (x.x)^2: A x^3 = (x.x) x, so every vector is a Z-eigenvector with
+    # value 1, reported by w = (1, 1); its H-pairs are isolated
+    entries = [((0, 0, 0, 0), 1.0), ((0, 0, 1, 1), 2.0), ((1, 1, 1, 1), 1.0)]
+    t = build(4, 2, entries, symmetrize=True)
+    pairs = solve_interior(t, "Z")
+    assert [p.value for p in pairs] == [pytest.approx(1.0, abs=1e-14)]
+    np.testing.assert_allclose(pairs[0].vector, [fixtures.ROOT2_HALF] * 2, atol=1e-14)
+    assert solved_exhaustively(t, "Z") is False
+    assert solved_exhaustively(t, "H") is True
+    assert_pairs_match(solve_interior(t, "H"), two_index_oracle(dense_symmetrize(dense_from_entries(4, 2, entries)), "H"))
+    # equal diagonal entries (H) and the zero tensor (both kinds) are families too
+    for order in (3, 4, 5):
+        assert solved_exhaustively(build(order, 2, [((0,) * order, 2.0), ((1,) * order, 2.0)]), "H") is False
+        for kind in ("H", "Z"):
+            zero = build(order, 2, [])
+            assert solved_exhaustively(zero, kind) is False
+            assert [p.value for p in solve_interior(zero, kind)] == [pytest.approx(0.0, abs=1e-14)]
+
+
+def test_two_index_close_roots_withdraw_complete():
+    # H, order 3, p_0 = 0 and p_1 = (s - 1)^2 + eps: eps = 0 is a double root at
+    # s = 1, eps < 0 splits it into two real roots 2e-6 apart and eps > 0 into a
+    # complex pair; none of them is resolved, so each withdraws the claim
+    for eps in (0.0, -1e-12, 1e-12):
+        t = build(3, 2, [((1, 0, 0), 1.0 + eps), ((1, 0, 1), -1.0), ((1, 1, 0), -1.0), ((1, 1, 1), 1.0)])
+        assert solved_exhaustively(t, "H") is False
+        pairs = solve_interior(t, "H")
+        assert pairs and all(abs(p.value) < 1e-9 for p in pairs)
+        assert all(np.abs(p.vector - 2 ** (-1 / 3)).max() < 1e-5 for p in pairs)
+    # two simple roots 0.1 apart are resolved
+    t = build(3, 2, [((1, 0, 0), 1.1), ((1, 0, 1), -2.1), ((1, 1, 1), 1.0)])
+    assert solved_exhaustively(t, "H") is True
+    assert sorted(round(p.vector[1] / p.vector[0], 9) for p in solve_interior(t, "H")) == [1.0, 1.1]
+
+
 def test_newton_route_agrees_with_diagonal_closed_form():
     rng = np.random.default_rng(8)
     d = rng.uniform(0.5, 2.0, size=3)
@@ -357,7 +457,8 @@ def test_exhaustiveness_marker():
         # a repeated eigenvalue: every positive vector pairs with 0
         assert not solved_exhaustively(build(2, 4, []), kind)
         assert not solved_exhaustively(build(2, 2, [((0, 0), 1.0), ((1, 1), 1.0 + 1e-12)]), kind)
-        assert not solved_exhaustively(fixtures.shifted_cubic()[0], kind)
+        # dimension 2: one polynomial with simple roots
+        assert solved_exhaustively(fixtures.shifted_cubic()[0], kind) is True
         assert solved_exhaustively(build(3, 3, [((0,) * 3, 1.0), ((1,) * 3, 2.0), ((2,) * 3, -1.0)]), kind)
         # the zero tensor pairs every positive vector with 0 on either sphere
         assert not solved_exhaustively(build(4, 3, []), kind)

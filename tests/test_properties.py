@@ -1,0 +1,167 @@
+"""Property tests over drawn tensors.
+
+The oracles are the dense-array helpers of conftest and, for dimension 2,
+numpy.roots on the reduced polynomial built entry by entry in test_eigen.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from paretospec.eigen import SolverConfig, solve_interior, solved_exhaustively
+from paretospec.spectrum import complement_slacks, pareto_spectrum, verify_pareto_pair
+from paretospec.tensor import build, knorm
+
+from conftest import dense_from_entries, dense_full, dense_symmetrize
+
+from test_eigen import assert_pairs_match, two_index_oracle, two_index_polynomial
+
+SETTINGS = settings(max_examples=60, deadline=None)
+# sub-problems of three or more indices still run multistart Newton
+CHEAP = SolverConfig(starts=60, seed=2)
+
+# exact zeros, quarter-integers (exact cancellations, repeated roots) and
+# general floats kept away from the underflow range
+coefficients = st.one_of(
+    st.just(0.0),
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.floats(1e-3, 2.0),
+    st.floats(-2.0, -1e-3),
+)
+
+
+@st.composite
+def entry_lists(draw, orders=(2, 3, 4), dims=(1, 2, 3)):
+    order = draw(st.sampled_from(orders))
+    dim = draw(st.sampled_from(dims))
+    index = st.tuples(*[st.integers(0, dim - 1)] * order)
+    entries = draw(st.lists(st.tuples(index, coefficients), max_size=12))
+    return order, dim, entries
+
+
+@st.composite
+def two_index_tensors(draw):
+    """(order, entries, symmetric) of a dimension-2 tensor of order 3-5.
+
+    Non-symmetric and sparse inputs set the coefficient of s^k in p_a, one
+    slice each; sparse ones may zero the coefficients that become the
+    leading (p_0 at s^{m-1}) and trailing (p_1 at s^0) ones of the reduced
+    polynomial.
+    """
+    order = draw(st.integers(3, 5))
+    style = draw(st.sampled_from(["symmetric", "nonsymmetric", "sparse", "zero"]))
+    if style == "zero":
+        return order, [], False
+    if style == "symmetric":
+        values = draw(st.lists(coefficients, min_size=order + 1, max_size=order + 1))
+        return order, [((0,) * (order - k) + (1,) * k, v) for k, v in enumerate(values)], True
+    p = np.array(draw(st.lists(coefficients, min_size=2 * order, max_size=2 * order))).reshape(2, order)
+    if style == "sparse":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=2 * order, max_size=2 * order))).reshape(2, order)
+        p = np.where(keep, p, 0.0)
+        if draw(st.booleans()):
+            p[0, order - 1] = 0.0
+        if draw(st.booleans()):
+            p[1, 0] = 0.0
+    entries = [((a,) + (0,) * (order - 1 - k) + (1,) * k, float(p[a, k])) for a in (0, 1) for k in range(order)]
+    return order, entries, False
+
+
+@SETTINGS
+@given(entry_lists(), st.data())
+def test_symmetrization_keeps_the_form(drawn, data):
+    order, dim, entries = drawn
+    x = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    t = build(order, dim, entries)
+    sym = t.symmetrized()
+    want = dense_full(dense_from_entries(order, dim, entries), x)
+    size = sum(abs(v) for _, v in entries) * max(1.0, np.abs(x).max()) ** order
+    assert t.apply_full(x) == pytest.approx(want, abs=1e-12 * max(1.0, size))
+    assert sym.apply_full(x) == pytest.approx(want, abs=1e-12 * max(1.0, size))
+    assert sym.symmetric
+
+
+def _near_degenerate(a: np.ndarray, kind: str) -> bool:
+    """Whether a positive-real-part root is near the route's thresholds.
+
+    The route keeps roots with |Im z| <= 1e-5 |z| and withdraws `complete`
+    when two kept roots are within 1e-5 in arctan(s); roots near a
+    threshold, or with a unit vector near the 1e-8 positivity filter, may
+    land on either side of it.
+    """
+    q = two_index_polynomial(a, kind)
+    z = np.roots(q[::-1])
+    z = z[z.real > 0]
+    ratio = np.abs(z.imag) / np.abs(z)
+    if ((ratio > 1e-7) & (ratio < 1e-3)).any():
+        return True
+    angle = np.sort(np.arctan(z.real[ratio <= 1e-7]))
+    gaps = np.diff(angle)
+    if ((gaps > 1e-7) & (gaps < 1e-3)).any():
+        return True
+    m = a.ndim
+    for s in z.real[ratio <= 1e-7]:
+        w = np.array([1.0, s])
+        for k in (m, 2):
+            if 1e-10 < (w / knorm(w, k)).min() < 1e-6:
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_index_tensors())
+def test_two_index_route_matches_roots_oracle(drawn):
+    order, entries, symmetric = drawn
+    t = build(order, 2, entries, symmetrize=symmetric)
+    a = dense_from_entries(order, 2, entries)
+    if symmetric:
+        a = dense_symmetrize(a)
+    for kind in ("H", "Z"):
+        assume(not _near_degenerate(a, kind))
+        q = two_index_polynomial(a, kind)
+        pairs = solve_interior(t, kind)
+        exhaustive = solved_exhaustively(t, kind)
+        if not q.any():
+            # a family, reported by w = (1, 1)
+            assert exhaustive is False
+            assert len(pairs) == 1
+            np.testing.assert_allclose(pairs[0].vector[0], pairs[0].vector[1], rtol=1e-12)
+            continue
+        z = np.roots(q[::-1])
+        z = z[z.real > 0]
+        real = np.abs(z.imag) <= 1e-7 * np.abs(z)
+        near_real = ~real & (np.abs(z.imag) <= 1e-3 * np.abs(z))
+        unresolved = near_real.any() or (np.diff(np.sort(np.arctan(z.real[real]))) <= 1e-7).any()
+        assert exhaustive is (not unresolved)
+        if exhaustive:
+            assert_pairs_match(pairs, two_index_oracle(a, kind, imag_tol=1e-7), tol=1e-8)
+        else:
+            # every reported pair sits on a positive root of the oracle
+            for p in pairs:
+                s = p.vector[1] / p.vector[0]
+                assert np.abs(z - s).min() <= 1e-4 * max(1.0, s)
+
+
+@SETTINGS
+@given(two_index_tensors(), st.sampled_from(["H", "Z"]), st.floats(0.1, 10.0))
+def test_verify_is_scale_invariant_on_emitted_pairs(drawn, kind, scale):
+    order, entries, symmetric = drawn
+    t = build(order, 2, entries, symmetrize=symmetric)
+    for c in pareto_spectrum(t, kind).items:
+        assume(not c.slacks.size or c.slacks.min() > -1e-12)  # tolerated negatives grow with the scale
+        rep = verify_pareto_pair(t, c.value, scale * c.vector, kind)
+        assert rep.ok, (c.subset, rep)
+        assert verify_pareto_pair(t, c.value, c.vector, kind).ok
+
+
+@SETTINGS
+@given(entry_lists(orders=(2, 3, 4), dims=(2, 3)), st.sampled_from(["H", "Z"]))
+def test_certificate_slacks_match_complement_slacks(drawn, kind):
+    order, dim, entries = drawn
+    t = build(order, dim, entries)
+    for c in pareto_spectrum(t, kind, CHEAP).items:
+        np.testing.assert_allclose(c.slacks, complement_slacks(t, c.subset, c.pair.vector), rtol=0, atol=1e-12)
+        rest = [i for i in range(dim) if i not in c.subset]
+        np.testing.assert_array_equal(c.vector[rest], 0.0)
+        np.testing.assert_array_equal(c.vector[list(c.subset)], c.pair.vector)

@@ -9,10 +9,12 @@ import paretospec.eigen as eigen_mod
 from paretospec import fixtures
 from paretospec.eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import (
+    _BOUNDARY_EPS,
     DEFAULT_SLACK_TOL,
     EmptySpectrumError,
     ParetoSpectrum,
     SubsetCertificate,
+    _boundary,
     _duplicates_earlier,
     complement_slacks,
     min_pareto,
@@ -40,7 +42,7 @@ def test_grouped_quartic_h_spectrum_structure():
         by_subset[(0, 1)].vector, [fixtures.UNIF4, fixtures.UNIF4], atol=1e-9
     )
     assert spec.min_value == pytest.approx(0.0, abs=1e-10)
-    assert not spec.complete
+    assert spec.complete is True  # every sub-problem has one or two indices
     # singleton slacks of this tensor vanish identically
     np.testing.assert_allclose(by_subset[(0,)].slacks, [0.0], atol=1e-14)
     assert not by_subset[(0,)].boundary
@@ -216,6 +218,39 @@ def test_boundary_flag_marks_tolerated_negative_slack():
     assert all(c.subset != (0,) for c in spec2.items)
 
 
+def test_boundary_flag_ignores_rounding_of_zero_slacks():
+    # Eigenvalue 1 of I - 0.1 uu^T has the eigenspace u-perp.  On subsets (0, 2)
+    # and (1, 2) it meets a face of the orthant, and the slack of the pair there
+    # is zero in exact arithmetic, so its sign is rounding only.
+    u = np.array([1.0, 1.0, -2.0, 0.5])
+    m = np.eye(4) - 0.1 * np.outer(u, u)
+    t = build(2, 4, [((i, j), float(m[i, j])) for i in range(4) for j in range(4)])
+    by_subset = {c.subset: c for c in pareto_spectrum(t, "H").items}
+    for subset in ((0, 2), (1, 2)):
+        cert = by_subset[subset]
+        assert abs(cert.slacks).min() < 1e-15
+        assert cert.boundary is False
+        assert verify_pareto_pair(t, cert.value, cert.vector, "H").ok
+        # the pair solved on the principal sub-matrix rounds differently
+        for pair in solve_interior(t.principal_subtensor(subset), "H"):
+            y = embed(pair.vector, subset, 4)
+            assert _boundary(t, subset, y, complement_slacks(t, subset, pair.vector)) is False
+
+
+def test_shifted_cubic_and_quartics_are_complete():
+    # every sub-problem of a dimension-2 tensor has one or two indices and is
+    # solved exactly, unless its polynomial vanishes: ex4.1 at t = 0 is
+    # x1^4 + x2^4, whose H-pairs on the full support form a family
+    cases = [fixtures.grouped_quartic()[0], fixtures.shifted_cubic()[0]]
+    cases += [fixtures.parametric_quartic(tv)[0] for tv in (-1.0, -(27.0**-0.25), 1.0)]
+    for t in cases:
+        for kind in ("H", "Z"):
+            assert pareto_spectrum(t, kind).complete is True
+    quartic0 = fixtures.parametric_quartic(0.0)[0]
+    assert pareto_spectrum(quartic0, "Z").complete is True
+    assert pareto_spectrum(quartic0, "H").complete is False
+
+
 def test_duplicate_policy_keeps_smaller_subset():
     v = np.array([0.5, 0.5, 0.0])
     small = SubsetCertificate((0, 1), EigenPair(1.0, v[:2], "H", 0.0), v, np.array([0.0]), False)
@@ -293,9 +328,12 @@ def _reference_spectrum(t, kind, cfg):
 
     Returns (subset, value, vector, slacks, boundary) per kept pair, keeping
     the first of any two pairs within dedup_tol in value and VECTOR_DEDUP_TOL
-    in vector, and whether every sub-problem was solved exhaustively.
+    in vector, and whether every sub-problem was solved exhaustively.  A pair
+    is on the boundary when a slack lies below -_BOUNDARY_EPS times the
+    magnitude of its complement row.
     """
     items, complete = [], True
+    dense = _dense(t)
     for card in range(1, t.dim + 1):
         for subset in itertools.combinations(range(t.dim), card):
             sub = t.principal_subtensor(subset)
@@ -308,8 +346,15 @@ def _reference_spectrum(t, kind, cfg):
                 if any(abs(pair.value - v) <= cfg.dedup_tol and np.abs(y - w).max() <= VECTOR_DEDUP_TOL
                        for _, v, w, _, _ in items):
                     continue
-                items.append((subset, pair.value, y, slacks, bool(slacks.size and slacks.min() < 0.0)))
+                rest = [i for i in range(t.dim) if i not in subset]
+                scale = dense_contract(np.abs(dense), np.abs(y))[rest]
+                items.append((subset, pair.value, y, slacks, bool((slacks < -_BOUNDARY_EPS * scale).any())))
     return items, complete
+
+
+def _dense(t):
+    """Dense array with each slice's coefficient on one of its index tuples."""
+    return dense_from_entries(t.order, t.dim, [((lead,) + trail, v) for (lead, trail), v in t.slices.items()])
 
 
 def _matrix_tensor(m):
@@ -325,10 +370,13 @@ def _equivalence_cases():
     yield "matrix-symmetric", _matrix_tensor((sym + sym.T) / 2)
     # Eigenvalue 1 is repeated on every principal sub-matrix of size >= 3, so
     # those withdraw `complete`.  Its eigenspace, the vectors summing to zero,
-    # holds no nonnegative vector.  Where a repeated eigenspace does meet a
-    # face of the orthant, its pairs there have slacks that are zero in exact
-    # arithmetic, and rounding decides their `boundary` flag in either route.
+    # holds no nonnegative vector.
     yield "matrix-repeated-eigenvalue", _matrix_tensor(np.eye(5) + 0.1 * np.ones((5, 5)))
+    # Here the repeated eigenspace u-perp meets faces of the orthant: pairs on
+    # (0, 2) and (1, 2) have slacks that are zero in exact arithmetic, and the
+    # two routes round them to opposite signs.
+    u = np.array([1.0, 1.0, -2.0, 0.5])
+    yield "matrix-repeated-eigenvalue-on-a-face", _matrix_tensor(np.eye(4) - 0.1 * np.outer(u, u))
     yield "matrix-nonsymmetric", _matrix_tensor(nonsym)
     # the singleton (0,) is admitted with the tolerated slack -1e-10
     yield "matrix-boundary", _matrix_tensor(np.array([[1.0, 0.2, 0.1], [-1e-10, 2.0, 0.3], [0.0, 0.4, 3.0]]))

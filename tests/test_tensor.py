@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paretospec import fixtures
-from paretospec.tensor import Tensor, build, embed, knorm
+from paretospec.tensor import Sphere, Tensor, build, embed, knorm
 
 from conftest import (
     dense_contract,
@@ -222,3 +222,22 @@ def test_vector_shape_errors():
         t.apply_contract(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         t.contract_batch(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_sphere_matches_float_power_formulas(kind, order):
+    # Sphere takes integer powers by repeated multiplication; the reference
+    # is the same formula through numpy's pow (rhs_jacobian is checked by
+    # test_system_jacobian_matches_finite_differences)
+    rng = np.random.default_rng(order)
+    W = rng.uniform(-1.5, 1.5, size=(50, 3))
+    sph = Sphere(kind, order)
+    k = sph.k
+    level = np.sum(W**k, axis=1)
+    rhs = (level ** ((order - k) / k))[:, None] * W ** (k - 1)
+    np.testing.assert_allclose(sph.level(W), level, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(sph.rhs(W), rhs, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(
+        sph.normalize(W), W / (np.sum(np.abs(W) ** k, axis=1) ** (1.0 / k))[:, None], rtol=1e-13, atol=1e-15
+    )
