@@ -61,23 +61,24 @@ def _tensor_info(t: Tensor, name: str | None) -> dict:
 
 
 def _load(args: argparse.Namespace) -> tuple[Tensor, dict]:
+    """The document's tensor and the report's input dict for it."""
     doc = load_document(args.file)
-    return doc.to_tensor(), {"path": args.file, "document_name": doc.name}
+    t = doc.to_tensor()
+    return t, {**_tensor_info(t, doc.name), "path": args.file}
 
 
 def _spectrum_dict(spec: ParetoSpectrum) -> dict:
-    items = []
-    for cert in spec.items:
-        items.append(
-            {
-                "value": float(cert.value),
-                "subset": [int(i) + 1 for i in cert.subset],
-                "vector": _floats(cert.vector),
-                "residual": float(cert.pair.residual),
-                "slacks": _floats(cert.slacks),
-                "boundary": bool(cert.boundary),
-            }
-        )
+    items = [
+        {
+            "value": float(cert.value),
+            "subset": [int(i) + 1 for i in cert.subset],
+            "vector": _floats(cert.vector),
+            "residual": float(cert.pair.residual),
+            "slacks": _floats(cert.slacks),
+            "boundary": bool(cert.boundary),
+        }
+        for cert in spec.items
+    ]
     return {
         "count": len(items),
         "min_value": None if spec.min_value is None else float(spec.min_value),
@@ -87,19 +88,17 @@ def _spectrum_dict(spec: ParetoSpectrum) -> dict:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    t, extra = _load(args)
+    t, info = _load(args)
     cfg = _solver_config(args)
     results = {}
     for kind in _KINDS[args.kind]:
         spec = pareto_spectrum(t, kind, config=cfg, slack_tol=args.slack_tol)
         results[kind.lower()] = _spectrum_dict(spec)
-    info = _tensor_info(t, extra["document_name"])
-    info["path"] = extra["path"]
     return info, results, 0
 
 
 def _cmd_minimize(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    t, extra = _load(args)
+    t, info = _load(args)
     cfg = _solver_config(args)
     results = {}
     for kind in _KINDS[args.kind]:
@@ -115,13 +114,11 @@ def _cmd_minimize(args: argparse.Namespace) -> tuple[dict, dict, int]:
             entry["grid_bound"] = float(bound)
             entry["grid_gap"] = float(res.value - bound)
         results[kind.lower()] = entry
-    info = _tensor_info(t, extra["document_name"])
-    info["path"] = extra["path"]
     return info, results, 0
 
 
 def _cmd_copositive(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    t, extra = _load(args)
+    t, info = _load(args)
     cfg = _solver_config(args)
     verdict = classify(
         t,
@@ -139,8 +136,6 @@ def _cmd_copositive(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "zero_band": float(verdict.zero_band),
         "notes": list(verdict.notes),
     }
-    info = _tensor_info(t, extra["document_name"])
-    info["path"] = extra["path"]
     return info, results, 0
 
 
@@ -153,7 +148,7 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    t, extra = _load(args)
+    t, info = _load(args)
     y = _parse_vector(args.vector)
     report = verify_pareto_pair(t, args.value, y, _KINDS[args.kind][0], tol=args.tol)
     results = {
@@ -168,8 +163,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "slack_violation": float(report.slack_violation),
         "slacks": _floats(report.slacks),
     }
-    info = _tensor_info(t, extra["document_name"])
-    info["path"] = extra["path"]
     return info, results, 0 if report.ok else 1
 
 
@@ -184,13 +177,8 @@ def _match_values(found: list[float], wanted: list[float], tol: float) -> bool:
 
 
 def _vector_at(spec: ParetoSpectrum, value: float, tol: float) -> np.ndarray | None:
-    best = None
-    for cert in spec.items:
-        if abs(cert.value - value) <= tol and (
-            best is None or abs(cert.value - value) < abs(best.value - value)
-        ):
-            best = cert
-    return None if best is None else best.vector
+    near = [cert for cert in spec.items if abs(cert.value - value) <= tol]
+    return min(near, key=lambda cert: abs(cert.value - value)).vector if near else None
 
 
 def _checks_grouped_quartic(t: Tensor, expected: dict, cfg: SolverConfig) -> list[dict]:

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Kind, Sphere, Tensor
+from .tensor import Kind, Sphere, Tensor, embed_rows
 
 # Two pairs are duplicates when their values differ by at most the value
 # dedup tolerance and their vectors by at most this much in infinity norm.
@@ -131,24 +131,25 @@ def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) ->
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     if _has_closed_form(t):
-        return [pair for _, pair, _ in solve_closed_forms(t, kind, np.arange(t.dim)[None, :], cfg)[0]]
-    L, W = _newton_candidates(t, sph, cfg)
-    _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)
+        (_, W, L, res, _), _ = solve_closed_forms(t, kind, np.arange(t.dim)[None, :], cfg)
+    else:
+        L, W = _newton_candidates(t, sph, cfg)
+        _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)
     return [EigenPair(float(v), w.copy(), kind, float(r)) for v, w, r in zip(L, W, res)]
 
 
 def solve_closed_forms(
     t: Tensor, kind: Kind, subsets: np.ndarray, config: SolverConfig | None = None
-) -> tuple[list[tuple[tuple[int, ...], EigenPair, np.ndarray]], bool]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], bool]:
     """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
 
     The rows, sorted index sets of one size, must each give a sub-tensor
     with a closed form: one or two indices, order 2, or diagonal.  They are
     solved together on `t`, without building a sub-tensor, in consecutive
-    chunks of at most _BATCH_CELLS candidate-row cells.  Returns the pairs
-    in subset order, each as (subset, pair, A y^{m-1}) with y the zero-filled
-    vector of the pair on `t`, and whether every sub-problem was solved
-    exhaustively (see `solved_exhaustively`).
+    chunks of at most _BATCH_CELLS candidate-row cells.  Returns the arrays
+    (S, W, L, residual, C) of `_finalize` for all chunks, concatenated in
+    subset order (no rows when nothing is found), and whether every
+    sub-problem was solved exhaustively (see `solved_exhaustively`).
     """
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
@@ -159,16 +160,13 @@ def solve_closed_forms(
     row_cells = t.dim**2 + len(t.slices) * (t.order - 1) ** 2
     per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
     step = max(1, _BATCH_CELLS // (per_subset * row_cells))
-    pairs, exhaustive = [], True
+    chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
+    exhaustive = True
     for lo in range(0, subsets.shape[0], step):
         S, W, L, chunk_exhaustive = _closed_form(t, sph, subsets[lo : lo + step], cfg)
         exhaustive &= bool(chunk_exhaustive.all())
-        S, W, L, res, C = _finalize(t, sph, S, W, L, cfg)
-        pairs.extend(
-            (tuple(s), EigenPair(float(v), w.copy(), kind, float(r)), c)
-            for s, w, v, r, c in zip(S.tolist(), W, L, res, C)
-        )
-    return pairs, exhaustive
+        chunks.append(_finalize(t, sph, S, W, L, cfg))
+    return tuple(np.concatenate(arrays) for arrays in zip(*chunks)), exhaustive
 
 
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
@@ -225,22 +223,16 @@ def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, JC: np.nda
 # outside S[r] has a zero monomial there.
 
 
-def _embed_rows(dim: int, S: np.ndarray, W: np.ndarray) -> np.ndarray:
-    Y = np.zeros((W.shape[0], dim))
-    np.put_along_axis(Y, S, W, axis=1)
-    return Y
-
-
 def _support_system(
     t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """F of the sub-problems on S at (W, L), and t's contraction at the zero-filled rows."""
-    C = t.contract_batch(_embed_rows(t.dim, S, W))
+    C = t.contract_batch(embed_rows(W, S, t.dim))
     return _system_eval(t, sph, W, L, np.take_along_axis(C, S, axis=1)), C
 
 
 def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray) -> np.ndarray:
-    JC = t.contract_jacobian_batch(_embed_rows(t.dim, S, W))
+    JC = t.contract_jacobian_batch(embed_rows(W, S, t.dim))
     return _system_jac(t, sph, W, L, JC[np.arange(W.shape[0])[:, None, None], S[:, :, None], S[:, None, :]])
 
 
@@ -536,7 +528,7 @@ def _finalize(
 
     with np.errstate(all="ignore"):
         res = np.abs(F).max(axis=1)
-        magnitude = np.take_along_axis(t.contract_magnitude_batch(_embed_rows(t.dim, S, W)), S, axis=1)
+        magnitude = np.take_along_axis(t.contract_magnitude_batch(embed_rows(W, S, t.dim)), S, axis=1)
         scale = magnitude + np.abs(L)[:, None] * np.abs(sph.rhs(W))
         genuine = (np.abs(F[:, :c]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
     keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > cfg.pos_tol) & genuine

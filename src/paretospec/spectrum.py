@@ -15,10 +15,12 @@ completeness of the per-subset interior solver.
 Subsets are enumerated by cardinality.  The sub-problems of one cardinality
 that have a closed form (one or two indices, order 2, or a diagonal
 sub-tensor, which bitmasks of the parent's off-diagonal slices detect) are
-solved as one batch on the parent tensor, and their complement slacks are
-read from the parent contraction of that solve.  Only the remaining
-sub-problems, of three or more indices and solved by multistart Newton,
-build a principal sub-tensor.  So a dimension-2 tensor is solved exactly.
+solved as one batch on the parent tensor; only the others, solved by
+multistart Newton, build a principal sub-tensor.  Both give arrays of
+supports, vectors, values, residuals and A y^{m-1} at the zero-filled
+vectors y, whose off-support entries are the complement slacks.  One mask
+admits rows, and only admitted rows become certificates.  A dimension-2
+tensor is solved exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_closed_forms, solve_interior
-from .tensor import Kind, Sphere, Tensor, embed
+from .tensor import Kind, Sphere, Tensor, embed, embed_rows
 
 DEFAULT_SLACK_TOL = 1e-9
 # A complement slack counts as negative for the `boundary` flag only below
@@ -98,7 +100,6 @@ def pareto_spectrum(
     kind: Kind,
     config: SolverConfig | None = None,
     slack_tol: float = DEFAULT_SLACK_TOL,
-    dim_guard: int = DIM_GUARD,
 ) -> ParetoSpectrum:
     """Enumerate subsets in increasing cardinality and collect admissible pairs.
 
@@ -112,67 +113,73 @@ def pareto_spectrum(
     Sphere(kind, t.order)  # rejects an unknown kind before any subset is solved
     if not slack_tol > 0:
         raise ValueError(f"slack_tol must be positive, got {slack_tol}")
-    if t.dim > dim_guard:
+    if t.dim > DIM_GUARD:
         raise ValueError(
-            f"dimension {t.dim} exceeds the enumeration guard {dim_guard}: "
+            f"dimension {t.dim} exceeds the enumeration guard {DIM_GUARD}: "
             f"2^{t.dim} principal sub-tensors"
         )
     cfg = config if config is not None else SolverConfig()
     diagonal = t.diagonal_subsets() if t.order > 2 else None
     items: list[SubsetCertificate] = []
-    # values and vectors of the kept items, in rows 0..len(items)-1
-    values, vectors = np.empty(16), np.empty((16, t.dim))
     complete = True
     for card in range(1, t.dim + 1):
         subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
         closed = np.ones(len(subsets), dtype=bool)
         if card > 2 and diagonal is not None:
             closed = diagonal[np.left_shift(1, subsets).sum(axis=1)]
-        # (subset, pair, contraction of t at the pair's zero-filled vector or None)
-        found, exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
+        (S, W, L, res, C), exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
         complete &= exhaustive
-        for subset in map(tuple, subsets[~closed].tolist()):
+        newton = subsets[~closed]
+        if newton.size:
             complete = False  # multistart Newton carries no completeness claim
-            found.extend((subset, pair, None) for pair in solve_interior(t.principal_subtensor(subset), kind, cfg))
-        found.sort(key=lambda f: f[0])  # stable, so each subset keeps its value order
-        for subset, pair, contraction in found:
-            if contraction is None:
-                slacks = complement_slacks(t, subset, pair.vector)
-            else:
-                slacks = np.delete(contraction, subset)
-            if slacks.size and float(slacks.min()) < -slack_tol:
-                continue
-            y = embed(pair.vector, subset, t.dim)
-            cert = SubsetCertificate(
-                subset=subset, pair=pair, vector=y, slacks=slacks, boundary=_boundary(t, subset, y, slacks)
-            )
-            n = len(items)
-            if not _duplicates_earlier(cert, values[:n], vectors[:n], cfg.dedup_tol):
-                if n == values.size:
-                    values, vectors = np.resize(values, 2 * n), np.resize(vectors, (2 * n, t.dim))
-                values[n], vectors[n] = cert.value, cert.vector
-                items.append(cert)
+            found = [(s, pair) for s in newton for pair in solve_interior(t.principal_subtensor(s), kind, cfg)]
+            NS = np.array([s for s, _ in found], dtype=np.intp).reshape(-1, card)
+            NW = np.array([pair.vector for _, pair in found]).reshape(-1, card)
+            S, W = np.concatenate([S, NS]), np.concatenate([W, NW])
+            L = np.concatenate([L, [pair.value for _, pair in found]])
+            res = np.concatenate([res, [pair.residual for _, pair in found]])
+            C = np.concatenate([C, t.contract_batch(embed_rows(NW, NS, t.dim))])
+            order = np.lexsort(S.T[::-1])  # stable, so each subset keeps its value order
+            S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]
+        Y = embed_rows(W, S, t.dim)
+        # every support entry exceeds pos_tol, so the zeros of Y are the complement
+        slacks = C[Y == 0.0].reshape(len(L), t.dim - card)
+        keep = np.flatnonzero(~(slacks < -slack_tol).any(axis=1))
+        suspect = W.min(axis=1) <= VECTOR_DEDUP_TOL  # the only rows `_duplicates_kept` can match
+        subs, values, residuals = S.tolist(), L.tolist(), res.tolist()
+        for r, boundary in zip(keep.tolist(), _boundary(t, Y[keep], slacks[keep]).tolist()):
+            if not (suspect[r] and _duplicates_kept(items, values[r], Y[r], cfg.dedup_tol)):
+                pair = EigenPair(values[r], W[r], kind, residuals[r])
+                items.append(SubsetCertificate(tuple(subs[r]), pair, Y[r], slacks[r], boundary))
     min_value = min((c.value for c in items), default=None)
     return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
 
 
-def _boundary(t: Tensor, subset: tuple[int, ...], y: np.ndarray, slacks: np.ndarray) -> bool:
-    """Whether a complement slack at the zero-filled y is negative beyond its rounding.
+def _boundary(t: Tensor, Y: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+    """Per zero-filled row of Y, whether a complement slack is negative beyond its rounding.
 
-    A slack that is zero in exact arithmetic comes out as a few ulps of
-    either sign; only one below -_BOUNDARY_EPS times the magnitude of its
-    own monomials counts.
+    slacks[r] holds the components of A y^{m-1} at the zeros of Y[r].  A
+    slack that is zero in exact arithmetic comes out as a few ulps of either
+    sign; only one below -_BOUNDARY_EPS times the magnitude of its own
+    monomials counts.
     """
-    if not slacks.size or slacks.min() >= 0.0:
-        return False
-    scale = np.delete(t.contract_magnitude_batch(y[None, :])[0], subset)
-    return bool((slacks < -_BOUNDARY_EPS * scale).any())
+    flag = np.zeros(len(Y), dtype=bool)
+    neg = np.flatnonzero((slacks < 0.0).any(axis=1))
+    if neg.size:
+        scale = t.contract_magnitude_batch(Y[neg])[Y[neg] == 0.0].reshape(slacks[neg].shape)
+        flag[neg] = (slacks[neg] < -_BOUNDARY_EPS * scale).any(axis=1)
+    return flag
 
 
-def _duplicates_earlier(cert: SubsetCertificate, values: np.ndarray, vectors: np.ndarray, dedup_tol: float) -> bool:
-    """Whether a kept item, given by its value and embedded vector, matches `cert`."""
-    near = np.flatnonzero(np.abs(values - cert.value) <= dedup_tol)
-    return bool((np.abs(vectors[near] - cert.vector).max(axis=1) <= VECTOR_DEDUP_TOL).any())
+def _duplicates_kept(items: list[SubsetCertificate], value: float, y: np.ndarray, dedup_tol: float) -> bool:
+    """Whether a kept item lies within dedup_tol of `value` and VECTOR_DEDUP_TOL of `y`.
+
+    Only a pair with a support entry of at most VECTOR_DEDUP_TOL can match:
+    pairs of one support are deduplicated by the solvers, and an earlier
+    item of another support lacks an index of the pair's support, where the
+    pair's entry faces a zero.
+    """
+    return any(abs(c.value - value) <= dedup_tol and np.abs(c.vector - y).max() <= VECTOR_DEDUP_TOL for c in items)
 
 
 @dataclass(frozen=True)

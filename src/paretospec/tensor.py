@@ -18,6 +18,7 @@ place where 1-based input indices are translated.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Sequence
@@ -74,6 +75,9 @@ class Tensor:
     _proj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # numpy integers become ints, so the tensor serializes to JSON
+        object.__setattr__(self, "order", operator.index(self.order))
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if self.dim < 1:
@@ -203,10 +207,7 @@ class Tensor:
         return all(trail == (lead,) * (self.order - 1) for lead, trail in self.slices)
 
     def diagonal_entries(self) -> np.ndarray:
-        d = np.zeros(self.dim)
-        for i in range(self.dim):
-            d[i] = self.slices.get((i, (i,) * (self.order - 1)), 0.0)
-        return d
+        return np.array([self.slices.get((i, (i,) * (self.order - 1)), 0.0) for i in range(self.dim)])
 
     def symmetrized(self) -> "Tensor":
         return Tensor(self.order, self.dim, _symmetrize_slices(self.order, self.slices), symmetric=True)
@@ -217,7 +218,8 @@ def _symmetrize_slices(order: int, slices: Mapping[SliceKey, float]) -> dict[Sli
 
     Coefficients sharing one full index multiset K are averaged over all
     orderings of K; the result depends only on the totals already stored, so
-    symmetrization is exact at the slice level.
+    symmetrization is exact at the slice level.  A multiset whose
+    coefficients cancel stores no slice, as `build` stores no zero entry.
     """
     totals: dict[tuple[int, ...], float] = {}
     for (lead, trail), v in slices.items():
@@ -225,6 +227,8 @@ def _symmetrize_slices(order: int, slices: Mapping[SliceKey, float]) -> dict[Sli
         totals[key] = totals.get(key, 0.0) + v
     out: dict[SliceKey, float] = {}
     for key, total in totals.items():
+        if total == 0.0:
+            continue
         counts = Counter(key)
         n_orderings = _multiset_permutations(counts, order)
         per_ordering = total / n_orderings
@@ -292,6 +296,13 @@ def embed(w: np.ndarray, subset: Sequence[int], dim: int) -> np.ndarray:
     y = np.zeros(dim)
     y[list(sub)] = w
     return y
+
+
+def embed_rows(W: np.ndarray, S: np.ndarray, dim: int) -> np.ndarray:
+    """Row r of W scattered onto the indices S[r] of a length-`dim` row, zeros elsewhere."""
+    Y = np.zeros((W.shape[0], dim))
+    np.put_along_axis(Y, S, W, axis=1)
+    return Y
 
 
 def knorm(x: np.ndarray, k: float) -> float:

@@ -1,7 +1,8 @@
 """Property tests over drawn tensors.
 
-The oracles are the dense-array helpers of conftest and, for dimension 2,
-numpy.roots on the reduced polynomial built entry by entry in test_eigen.
+The oracles are the dense-array helpers of conftest, for dimension 2
+numpy.roots on the reduced polynomial built entry by entry in test_eigen,
+and for whole spectra the subset-by-subset reference of test_spectrum.
 """
 
 import numpy as np
@@ -10,12 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paretospec.eigen import SolverConfig, solve_interior, solved_exhaustively
-from paretospec.spectrum import complement_slacks, pareto_spectrum, verify_pareto_pair
+from paretospec.spectrum import DEFAULT_SLACK_TOL, complement_slacks, pareto_spectrum, verify_pareto_pair
 from paretospec.tensor import build, knorm
+from paretospec.tensorio import parse_document, serialize_document, tensor_to_document
 
 from conftest import dense_from_entries, dense_full, dense_symmetrize
 
 from test_eigen import assert_pairs_match, two_index_oracle, two_index_polynomial
+from test_spectrum import _reference_spectrum
 
 SETTINGS = settings(max_examples=60, deadline=None)
 # sub-problems of three or more indices still run multistart Newton
@@ -38,6 +41,32 @@ def entry_lists(draw, orders=(2, 3, 4), dims=(1, 2, 3)):
     index = st.tuples(*[st.integers(0, dim - 1)] * order)
     entries = draw(st.lists(st.tuples(index, coefficients), max_size=12))
     return order, dim, entries
+
+
+@st.composite
+def spectrum_tensors(draw):
+    """Matrices, diagonal tensors of order 3-5 and sparse order-3/4 tensors, dimension <= 4.
+
+    A sparse tensor has a diagonal and at most three off-diagonal entries,
+    so most of its sub-problems are diagonal and the rest run Newton.
+    Off-diagonal entries of +-1e-7 give pairs with a support entry near
+    1e-7, which match the pair of a smaller support within the vector
+    dedup tolerance when slack_tol admits both.
+    """
+    style = draw(st.sampled_from(["matrix", "diagonal", "sparse"]))
+    dim = draw(st.integers(1, 4))
+    diag = draw(st.lists(coefficients, min_size=dim, max_size=dim))
+    coupling = st.one_of(coefficients, st.sampled_from([-1e-7, 1e-7]))
+    if style == "matrix":
+        off = draw(st.lists(coupling, min_size=dim * dim, max_size=dim * dim))
+        entries = [((i, j), off[i * dim + j] if i != j else diag[i]) for i in range(dim) for j in range(dim)]
+        return build(2, dim, entries, symmetrize=draw(st.booleans()))
+    order = draw(st.integers(3, 5) if style == "diagonal" else st.integers(3, 4))
+    entries = [((i,) * order, v) for i, v in enumerate(diag)]
+    if style == "sparse":
+        index = st.tuples(*[st.integers(0, dim - 1)] * order)
+        entries += draw(st.lists(st.tuples(index, coupling), max_size=3))
+    return build(order, dim, entries, symmetrize=style == "sparse" and draw(st.booleans()))
 
 
 @st.composite
@@ -165,3 +194,33 @@ def test_certificate_slacks_match_complement_slacks(drawn, kind):
         rest = [i for i in range(dim) if i not in c.subset]
         np.testing.assert_array_equal(c.vector[rest], 0.0)
         np.testing.assert_array_equal(c.vector[list(c.subset)], c.pair.vector)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spectrum_tensors(), st.sampled_from(["H", "Z"]), st.sampled_from([DEFAULT_SLACK_TOL, 1e-6]))
+def test_spectrum_matches_per_subset_reference(t, kind, slack_tol):
+    cfg = SolverConfig(starts=30, seed=2)
+    want, want_complete = _reference_spectrum(t, kind, cfg, slack_tol)
+    spec = pareto_spectrum(t, kind, cfg, slack_tol)
+    # a pair within rounding of a filter threshold may land on either side of
+    # it; the 1e-12 slack window leaves out no exactly-zero slack
+    for vector, slacks in [(c.vector, c.slacks) for c in spec.items] + [(w[2], w[3]) for w in want]:
+        assume(not (np.abs(slacks + slack_tol) <= 1e-12).any())
+        assume(not (np.abs(vector - cfg.pos_tol) <= 1e-9).any())
+    assert [(c.subset, c.boundary) for c in spec.items] == [(w[0], w[4]) for w in want]
+    for c, (_, value, vector, slacks, _) in zip(spec.items, want):
+        assert abs(c.value - value) <= 1e-12
+        np.testing.assert_allclose(c.vector, vector, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.slacks, slacks, rtol=0, atol=1e-12)
+    assert spec.complete == want_complete
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry_lists(), st.booleans())
+def test_document_round_trip(drawn, symmetrize):
+    order, dim, entries = drawn
+    t = build(np.int64(order), np.int64(dim), entries, symmetrize=symmetrize)
+    back = parse_document(serialize_document(tensor_to_document(t))).to_tensor()
+    assert (back.order, back.dim) == (order, dim)
+    assert back.slices == t.slices
+    assert back.symmetric == t.symmetric

@@ -7,15 +7,12 @@ import pytest
 
 import paretospec.eigen as eigen_mod
 from paretospec import fixtures
-from paretospec.eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_interior, solved_exhaustively
+from paretospec.eigen import VECTOR_DEDUP_TOL, SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import (
     _BOUNDARY_EPS,
     DEFAULT_SLACK_TOL,
     EmptySpectrumError,
-    ParetoSpectrum,
-    SubsetCertificate,
     _boundary,
-    _duplicates_earlier,
     complement_slacks,
     min_pareto,
     pareto_spectrum,
@@ -234,7 +231,7 @@ def test_boundary_flag_ignores_rounding_of_zero_slacks():
         # the pair solved on the principal sub-matrix rounds differently
         for pair in solve_interior(t.principal_subtensor(subset), "H"):
             y = embed(pair.vector, subset, 4)
-            assert _boundary(t, subset, y, complement_slacks(t, subset, pair.vector)) is False
+            assert not _boundary(t, y[None, :], complement_slacks(t, subset, pair.vector)[None, :])[0]
 
 
 def test_shifted_cubic_and_quartics_are_complete():
@@ -252,15 +249,18 @@ def test_shifted_cubic_and_quartics_are_complete():
 
 
 def test_duplicate_policy_keeps_smaller_subset():
-    v = np.array([0.5, 0.5, 0.0])
-    small = SubsetCertificate((0, 1), EigenPair(1.0, v[:2], "H", 0.0), v, np.array([0.0]), False)
-    dup_vec = v + np.array([0.0, 5e-7, 0.0])
-    big = SubsetCertificate((0, 1, 2), EigenPair(1.0 + 5e-9, dup_vec[:3], "H", 0.0), dup_vec, np.array([]), False)
-    kept = np.array([small.value]), small.vector[None, :]
-    assert _duplicates_earlier(big, *kept, dedup_tol=1e-8)
-    far = SubsetCertificate((0, 1, 2), EigenPair(1.1, v, "H", 0.0), v, np.array([]), False)
-    assert not _duplicates_earlier(far, *kept, dedup_tol=1e-8)
-    assert not _duplicates_earlier(big, np.empty(0), np.empty((0, 3)), dedup_tol=1e-8)
+    # The pair of (0, 1) at value 1 - 1e-14 has the vector (1, 1e-7) up to
+    # scale, within VECTOR_DEDUP_TOL of e_0, the vector of the singleton (0,).
+    # The singleton's slack -1e-7 admits it only at slack_tol=1e-6, and then
+    # it comes first and keeps the certificate.
+    t = build(2, 2, [((0, 0), 1.0), ((0, 1), -1e-7), ((1, 0), -1e-7), ((1, 1), 2.0)])
+    near_one = [c for c in pareto_spectrum(t, "H", slack_tol=1e-6).items if abs(c.value - 1.0) < 1e-6]
+    assert [c.subset for c in near_one] == [(0,)]
+    assert near_one[0].value == 1.0 and near_one[0].boundary
+    near_one = [c for c in pareto_spectrum(t, "H").items if abs(c.value - 1.0) < 1e-6]
+    assert [c.subset for c in near_one] == [(0, 1)]
+    assert 0.0 < 1.0 - near_one[0].value < 1e-12
+    assert 0.0 < near_one[0].vector[1] <= VECTOR_DEDUP_TOL
 
 
 def test_items_sorted_by_cardinality_then_subset():
@@ -274,9 +274,6 @@ def test_dimension_guard():
     t = build(2, 17, [])
     with pytest.raises(ValueError, match="guard"):
         pareto_spectrum(t, "H")
-    # explicit override allows it
-    spec = pareto_spectrum(build(2, 5, []), "H", dim_guard=5)
-    assert isinstance(spec, ParetoSpectrum)
 
 
 def test_spectrum_argument_validation():
@@ -317,13 +314,17 @@ def test_min_pareto_empty_spectrum_error(monkeypatch):
 
     # closed-form sub-problems (here the singletons) are solved in batches,
     # the others one by one; neither route finds anything
-    monkeypatch.setattr(spectrum_mod, "solve_closed_forms", lambda *a, **k: ([], True))
+    def nothing(t, kind, subsets, config=None):
+        c = subsets.shape[1]
+        return (subsets[:0], np.empty((0, c)), np.empty(0), np.empty(0), np.empty((0, t.dim))), True
+
+    monkeypatch.setattr(spectrum_mod, "solve_closed_forms", nothing)
     monkeypatch.setattr(spectrum_mod, "solve_interior", lambda *a, **k: [])
     with pytest.raises(EmptySpectrumError):
         min_pareto(t, "H", FAST)
 
 
-def _reference_spectrum(t, kind, cfg):
+def _reference_spectrum(t, kind, cfg, slack_tol=DEFAULT_SLACK_TOL):
     """The spectrum built one subset at a time, from its principal sub-tensor.
 
     Returns (subset, value, vector, slacks, boundary) per kept pair, keeping
@@ -340,7 +341,7 @@ def _reference_spectrum(t, kind, cfg):
             complete &= solved_exhaustively(sub, kind, cfg)
             for pair in solve_interior(sub, kind, cfg):
                 slacks = complement_slacks(t, subset, pair.vector)
-                if slacks.size and slacks.min() < -DEFAULT_SLACK_TOL:
+                if slacks.size and slacks.min() < -slack_tol:
                     continue
                 y = embed(pair.vector, subset, t.dim)
                 if any(abs(pair.value - v) <= cfg.dedup_tol and np.abs(y - w).max() <= VECTOR_DEDUP_TOL

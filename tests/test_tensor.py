@@ -84,6 +84,11 @@ def test_zero_sum_slices_are_dropped():
     t = build(3, 2, [((0, 0, 1), 1.0), ((0, 1, 0), -1.0)])
     assert t.slices == {}
     assert t.apply_full(np.array([1.0, 2.0])) == 0.0
+    # entries that cancel only across orderings leave no zero slice either,
+    # which would make the tensor look non-diagonal
+    sym = build(3, 2, [((0, 0, 1), -0.75), ((1, 0, 0), 0.75), ((1, 1, 1), 2.0)], symmetrize=True)
+    assert sym.slices == {(1, (1, 1)): 2.0}
+    assert sym.is_diagonal()
 
 
 def test_jacobian_matches_finite_differences():
