@@ -155,9 +155,10 @@ def solve_closed_forms(
     cfg = config if config is not None else SolverConfig()
     size = subsets.shape[1]
     # a matrix sub-problem gives up to `size` rows and a 2-index one up to
-    # 2(m-1); each row costs its dim^2 Jacobian cells plus the monomial
-    # gathers behind them
-    row_cells = t.dim**2 + len(t.slices) * (t.order - 1) ** 2
+    # 2(m-1).  Per row, t's kernels hold the placed dim^2 Jacobian, its
+    # touched cells, and one monomial product (and gather) per kernel
+    mono, cells, _ = t._jacobian_tables
+    row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
     per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
     step = max(1, _BATCH_CELLS // (per_subset * row_cells))
     chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
@@ -444,31 +445,32 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
     streak = np.zeros(B, dtype=np.int64)
 
     with np.errstate(all="ignore"):
-        Fnorm = np.abs(_system_eval(t, sph, W, L)).max(axis=1)
+        # residual rows at (W, L); an accepted line-search trial brings its own
+        F = _system_eval(t, sph, W, L)
+        Fnorm = np.abs(F).max(axis=1)
         best_seen = Fnorm.copy()
         done |= Fnorm <= cfg.tol
         for _ in range(cfg.max_iters):
             act = np.flatnonzero(alive & ~done)
             if act.size == 0:
                 break
-            Wa, La = W[act], L[act]
-            F = _system_eval(t, sph, Wa, La)
-            J = _system_jac(t, sph, Wa, La)
-            step = _solve_steps(J, F)
+            Wa, La, Fa = W[act], L[act], F[act]
+            step = _solve_steps(_system_jac(t, sph, Wa, La), Fa)
             bad = ~np.isfinite(step).all(axis=1)
             base = Fnorm[act]
 
             def trial(rows, alpha):
                 tW = Wa[rows] + alpha[:, None] * step[rows, :d]
                 tL = La[rows] + alpha * step[rows, d]
-                tn = np.abs(_system_eval(t, sph, tW, tL)).max(axis=1)
+                tF = _system_eval(t, sph, tW, tL)
+                tn = np.abs(tF).max(axis=1)
                 ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha) * base[rows])
-                return ok, (tW, tL, tn)
+                return ok, (tW, tL, tF, tn)
 
-            nW, nL, nF = np.empty_like(Wa), np.empty_like(La), np.empty_like(base)
-            accepted = _backtrack(np.flatnonzero(~bad), _MAX_HALVINGS, B, trial, (nW, nL, nF))
+            nW, nL, nF, nn = np.empty_like(Wa), np.empty_like(La), np.empty_like(Fa), np.empty_like(base)
+            accepted = _backtrack(np.flatnonzero(~bad), _MAX_HALVINGS, B, trial, (nW, nL, nF, nn))
             hit = act[accepted]
-            W[hit], L[hit], Fnorm[hit] = nW[accepted], nL[accepted], nF[accepted]
+            W[hit], L[hit], F[hit], Fnorm[hit] = nW[accepted], nL[accepted], nF[accepted], nn[accepted]
             alive[act[~accepted]] = False
             grown = np.abs(W[act]).max(axis=1) > 1e8
             alive[act[grown]] = False

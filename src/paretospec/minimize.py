@@ -19,7 +19,6 @@ matching kind.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -190,17 +189,21 @@ def kkt_residual(t: Tensor, x: np.ndarray, kind: Kind) -> tuple[float, np.ndarra
 
 
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """All nonnegative integer compositions of `resolution`, scaled to the simplex."""
-    rows = []
-    for bars in itertools.combinations(range(resolution + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(resolution + dim - 2 - prev)
-        rows.append(parts)
-    return np.array(rows, dtype=np.float64) / float(resolution)
+    """All nonnegative integer compositions of `resolution` into `dim` parts, scaled to the simplex.
+
+    Rows come in ascending lexicographic order.  Column by column, each
+    partial row with r units left becomes r + 1 rows whose next part runs
+    0..r, in order; the last part takes what is left.
+    """
+    parts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([resolution], dtype=np.int64)
+    for _ in range(dim - 1):
+        counts = left + 1
+        owner = np.repeat(np.arange(left.size), counts)
+        part = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.column_stack([parts[owner], part])
+        left = left[owner] - part
+    return np.column_stack([parts, left]).astype(np.float64) / float(resolution)
 
 
 def grid_lower_bound(t: Tensor, kind: Kind, resolution: int = 64) -> float:

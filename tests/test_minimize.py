@@ -1,11 +1,13 @@
 """Projected-gradient minimizer, KKT residual, and grid cross-check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from paretospec import fixtures
 from paretospec.eigen import SolverConfig
-from paretospec.minimize import MinimizeResult, grid_lower_bound, kkt_residual, minimize
+from paretospec.minimize import MinimizeResult, _simplex_grid, grid_lower_bound, kkt_residual, minimize
 from paretospec.spectrum import min_pareto
 from paretospec.tensor import build, knorm
 
@@ -148,6 +150,22 @@ def test_grid_guards():
         grid_lower_bound(t, "H", resolution=7)
     with pytest.raises(ValueError):
         grid_lower_bound(t, "Q")
+
+
+def _compositions_by_bars(dim, resolution):
+    """Compositions of `resolution` into `dim` parts from stars and bars, one row per bar placement."""
+    rows = []
+    for bars in itertools.combinations(range(resolution + dim - 1), dim - 1):
+        edges = (-1,) + bars + (resolution + dim - 1,)
+        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(rows, dtype=np.float64).reshape(-1, dim) / resolution
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("resolution", [1, 2, 5, 8, 13])
+def test_simplex_grid_matches_stars_and_bars(dim, resolution):
+    grid = _simplex_grid(dim, resolution)
+    np.testing.assert_array_equal(grid, _compositions_by_bars(dim, resolution))
 
 
 def test_grid_three_and_four_dims_run():

@@ -7,15 +7,15 @@ and for whole spectra the subset-by-subset reference of test_spectrum.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paretospec.eigen import SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import DEFAULT_SLACK_TOL, complement_slacks, pareto_spectrum, verify_pareto_pair
-from paretospec.tensor import build, knorm
+from paretospec.tensor import Tensor, build, knorm
 from paretospec.tensorio import parse_document, serialize_document, tensor_to_document
 
-from conftest import dense_from_entries, dense_full, dense_symmetrize
+from conftest import dense_contract, dense_from_entries, dense_full, dense_jacobian, dense_symmetrize
 
 from test_eigen import assert_pairs_match, two_index_oracle, two_index_polynomial
 from test_spectrum import _reference_spectrum
@@ -70,6 +70,20 @@ def spectrum_tensors(draw):
 
 
 @st.composite
+def slice_tensors(draw):
+    """A tensor of order 2-5 and dimension 1-5 made by Tensor(...) from drawn slices.
+
+    Slices skip `build`, so a zero coefficient stays stored; small
+    dimensions make repeated trailing indices common.
+    """
+    order = draw(st.integers(2, 5))
+    dim = draw(st.integers(1, 5))
+    index = st.integers(0, dim - 1)
+    trail = st.lists(index, min_size=order - 1, max_size=order - 1).map(lambda tr: tuple(sorted(tr)))
+    return Tensor(order, dim, draw(st.dictionaries(st.tuples(index, trail), coefficients, max_size=12)))
+
+
+@st.composite
 def two_index_tensors(draw):
     """(order, entries, symmetric) of a dimension-2 tensor of order 3-5.
 
@@ -109,6 +123,34 @@ def test_symmetrization_keeps_the_form(drawn, data):
     assert t.apply_full(x) == pytest.approx(want, abs=1e-12 * max(1.0, size))
     assert sym.apply_full(x) == pytest.approx(want, abs=1e-12 * max(1.0, size))
     assert sym.symmetric
+
+
+@st.composite
+def kernel_batches(draw):
+    """A drawn slice tensor and a batch of 1-4 rows with mixed signs."""
+    t = draw(slice_tensors())
+    rows = draw(st.integers(1, 4))
+    X = draw(st.lists(st.floats(-1.5, 1.5), min_size=rows * t.dim, max_size=rows * t.dim))
+    return t, np.array(X).reshape(rows, t.dim)
+
+
+@SETTINGS
+@given(kernel_batches())
+@example((Tensor(3, 2, {}), np.array([[0.5, -1.0]])))
+@example((Tensor(4, 3, {(0, (1, 1, 1)): 0.0, (2, (0, 2, 2)): -1.5, (1, (1, 1, 2)): 0.75}), np.array([[0.3, -1.2, 0.9]])))
+@example((Tensor(2, 1, {(0, (0,)): 2.0}), np.array([[-0.7], [1.5]])))
+def test_kernels_match_dense_oracles(drawn):
+    """Contraction, magnitude and Jacobian against the dense tensor holding each slice at one index."""
+    t, X = drawn
+    m, n = t.order, t.dim
+    a = dense_from_entries(m, n, [((lead,) + trail, v) for (lead, trail), v in t.slices.items()])
+    tol = 1e-12 * max(1.0, sum(abs(v) for v in t.slices.values())) * max(1.0, np.abs(X).max()) ** m
+    C, M, J = t.contract_batch(X), t.contract_magnitude_batch(X), t.contract_jacobian_batch(X)
+    assert C.shape == M.shape == X.shape and J.shape == X.shape + (n,)
+    for x, c, mag, jac in zip(X, C, M, J):
+        np.testing.assert_allclose(c, dense_contract(a, x), rtol=0, atol=tol)
+        np.testing.assert_allclose(mag, dense_contract(np.abs(a), np.abs(x)), rtol=0, atol=tol)
+        np.testing.assert_allclose(jac, dense_jacobian(a, x), rtol=0, atol=(m - 1) * tol)
 
 
 def _near_degenerate(a: np.ndarray, kind: str) -> bool:

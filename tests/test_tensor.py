@@ -106,6 +106,29 @@ def test_jacobian_matches_finite_differences():
             np.testing.assert_allclose(jac[:, j], fd, rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_sparse_tensor_tables_are_sized_by_its_slices(order):
+    """A 200-entry tensor at n = 2000: no table grows with n^2, and the kernels still agree per slice."""
+    rng = np.random.default_rng(21)
+    n = 2000
+    t = build(order, n, random_entries(rng, order, n, 200))
+    k, m = len(t.slices), order
+    mono, cells, Q = t._jacobian_tables
+    assert t._mono.shape[0] <= k and t._P.shape == (t._mono.shape[0], n)
+    assert mono.shape[0] <= k * (m - 1) and cells.size <= k * (m - 1)
+    assert Q.shape == (mono.shape[0], cells.size)
+    assert t._mono.size + mono.size + cells.size <= k * m * m
+    # the oracle works slice by slice: a dense n^m array would not fit
+    x = rng.uniform(-1.0, 1.0, size=n)
+    want_c, want_j = np.zeros(n), np.zeros((n, n))
+    for (lead, trail), v in t.slices.items():
+        want_c[lead] += v * np.prod(x[list(trail)])
+        for p in range(m - 1):
+            want_j[lead, trail[p]] += v * np.prod(x[list(trail[:p] + trail[p + 1 :])])
+    np.testing.assert_allclose(t.apply_contract(x), want_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t.contract_jacobian_batch(x[None])[0], want_j, rtol=0, atol=1e-12)
+
+
 def test_principal_subtensor_matches_dense_slicing():
     rng = np.random.default_rng(9)
     entries = random_entries(rng, 3, 5, 70)
