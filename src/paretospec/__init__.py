@@ -19,12 +19,7 @@ Main entry points:
 - parse_document / serialize_document: 1-based JSON tensor documents
 """
 
-from .copositivity import (
-    DEFAULT_ZERO_BAND,
-    CopositivityVerdict,
-    classify,
-    direct_witness_search,
-)
+from .copositivity import DEFAULT_ZERO_BAND, CopositivityVerdict, classify
 from .eigen import EigenPair, SolverConfig, residual, solve_interior
 from .fixtures import EXAMPLES, grouped_quartic, parametric_quartic, shifted_cubic
 from .minimize import MinimizeResult, grid_lower_bound, kkt_residual, minimize
@@ -69,7 +64,6 @@ __all__ = [
     "build",
     "classify",
     "complement_slacks",
-    "direct_witness_search",
     "embed",
     "grid_lower_bound",
     "grouped_quartic",

@@ -328,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "indices without a closed form take, and per minimize run "
                              "(default 200 per dimension)")
     solver.add_argument("--tol", type=float, default=1e-10,
-                        help="solver residual tolerance (default 1e-10)")
+                        help="solver residual tolerance; values within max(1e-8, tol) of each "
+                             "other count as one root, so the dedup tolerance is never below "
+                             "tol (default 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="paretospec",

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import Kind, SolverConfig
-from .minimize import minimize
 from .spectrum import DEFAULT_SLACK_TOL, EmptySpectrumError, min_pareto
 from .tensor import Tensor
 
 DEFAULT_ZERO_BAND = 1e-7
 
 Route = str  # "H", "Z", or "both"
-
-_CLASSES = ("strictly_copositive", "copositive_boundary", "not_copositive", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -114,20 +111,3 @@ def classify(
         zero_band=float(zero_band),
         notes=tuple(notes),
     )
-
-
-def direct_witness_search(
-    t: Tensor,
-    config: SolverConfig | None = None,
-    zero_band: float = DEFAULT_ZERO_BAND,
-) -> np.ndarray | None:
-    """Search for x >= 0 with A x^m decisively negative, bypassing the spectrum.
-
-    Runs the constrained minimizer and returns a witness vector when the
-    minimum falls below -zero_band; None means no witness was found (which
-    does not prove copositivity on its own).
-    """
-    res = minimize(t, "H", config)
-    if res.value < -zero_band:
-        return res.argmin
-    return None

@@ -44,7 +44,6 @@ projected-gradient backtracking.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +51,8 @@ import numpy as np
 
 from .tensor import Kind, Sphere, Tensor, embed_rows
 
+# A candidate is interior when every entry of its unit vector exceeds this.
+POS_TOL = 1e-8
 # Two pairs are duplicates when their values differ by at most the value
 # dedup tolerance and their vectors by at most this much in infinity norm.
 VECTOR_DEDUP_TOL = 1e-6
@@ -59,6 +60,8 @@ VECTOR_DEDUP_TOL = 1e-6
 # Cells (candidate rows x per-row Jacobian and gather cells) in one batch of
 # closed-form sub-problems: 8 MB per float array of that size.
 _BATCH_CELLS = 1 << 20
+# Newton iterations per multistart member.
+_MAX_ITERS = 200
 # Line search halvings before a Newton member is abandoned.
 _MAX_HALVINGS = 30
 # A member that fails to cut its residual by 10% within this many successive
@@ -75,33 +78,28 @@ _REL_ROOT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Multistart and tolerance knobs shared by the solvers.
+    """Multistart size, residual tolerance and seed shared by the solvers.
 
     starts=None means 200 per dimension of the tensor actually being solved.
     """
 
     starts: int | None = None
-    max_iters: int = 200
     tol: float = 1e-10
-    pos_tol: float = 1e-8
-    dedup_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.starts is not None and self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("tol", "pos_tol", "dedup_tol"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.dedup_tol < self.tol:
-            warnings.warn(
-                f"dedup_tol={self.dedup_tol} below tol={self.tol}: converged copies of "
-                "one root may survive deduplication",
-                stacklevel=2,
-            )
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+
+    @property
+    def dedup_tol(self) -> float:
+        """Value tolerance of the pair dedup: 1e-8, or tol when larger.
+
+        Converged copies of one root agree in value only to about tol.
+        """
+        return max(1e-8, self.tol)
 
     def resolve_starts(self, dim: int) -> int:
         return self.starts if self.starts is not None else 200 * dim
@@ -294,7 +292,7 @@ def _closed_form(
         V = np.swapaxes(vecs, 1, 2)  # V[s, k] is eigenvector k of sub-matrix s
         lead = np.take_along_axis(V, np.abs(V).argmax(axis=2)[:, :, None], axis=2)
         V = np.where(lead < 0, -V, V)
-        rows, k = np.nonzero(real & (V.min(axis=2) > cfg.pos_tol))
+        rows, k = np.nonzero(real & (V.min(axis=2) > POS_TOL))
         return subsets[rows], V[rows, k], ev.real[rows, k], exhaustive
     m = t.order
     if sph.k == m:  # H
@@ -450,7 +448,7 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
         Fnorm = np.abs(F).max(axis=1)
         best_seen = Fnorm.copy()
         done |= Fnorm <= cfg.tol
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             act = np.flatnonzero(alive & ~done)
             if act.size == 0:
                 break
@@ -521,7 +519,7 @@ def _finalize(
     then vector.
     """
     c = S.shape[1]
-    interior = W.min(axis=1) > cfg.pos_tol
+    interior = W.min(axis=1) > POS_TOL
     S, W, L = S[interior], W[interior], L[interior]
     if W.shape[0] == 0:
         return S, W, L, np.empty(0), np.empty((0, t.dim))
@@ -533,7 +531,7 @@ def _finalize(
         magnitude = np.take_along_axis(t.contract_magnitude_batch(embed_rows(W, S, t.dim)), S, axis=1)
         scale = magnitude + np.abs(L)[:, None] * np.abs(sph.rhs(W))
         genuine = (np.abs(F[:, :c]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
-    keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > cfg.pos_tol) & genuine
+    keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > POS_TOL) & genuine
     keys = tuple(W[keep, j] for j in reversed(range(c))) + (L[keep],) + tuple(S[keep, j] for j in reversed(range(c)))
     order = np.flatnonzero(keep)[np.lexsort(keys)]
     S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]

@@ -29,6 +29,8 @@ from .tensor import Kind, Sphere, Tensor, knorm
 
 # Projected-gradient stationarity target (infinity norm).
 PG_TOL = 1e-9
+# Projected-gradient iterations per start.
+_MAX_ITERS = 200
 # Armijo sufficient-decrease fraction and backtracking limit.
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 50
@@ -111,7 +113,7 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
     prev_G = _tangential_gradient(s, X, m, k)
 
     with np.errstate(all="ignore"):
-        for _ in range(cfg.max_iters):
+        for _ in range(_MAX_ITERS):
             idx = np.flatnonzero(active)
             if idx.size == 0:
                 break

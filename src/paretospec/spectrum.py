@@ -39,7 +39,7 @@ DEFAULT_SLACK_TOL = 1e-9
 # this multiple of its own magnitude: the rounding of a slack that is zero
 # in exact arithmetic stays within a few ulps of that scale.
 _BOUNDARY_EPS = 64 * np.finfo(np.float64).eps
-# 2^16 subsets is the largest enumeration accepted by default.
+# 2^16 subsets is the largest enumeration accepted; nothing overrides it.
 DIM_GUARD = 16
 
 
@@ -142,7 +142,7 @@ def pareto_spectrum(
             order = np.lexsort(S.T[::-1])  # stable, so each subset keeps its value order
             S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]
         Y = embed_rows(W, S, t.dim)
-        # every support entry exceeds pos_tol, so the zeros of Y are the complement
+        # every support entry exceeds POS_TOL, so the zeros of Y are the complement
         slacks = C[Y == 0.0].reshape(len(L), t.dim - card)
         keep = np.flatnonzero(~(slacks < -slack_tol).any(axis=1))
         suspect = W.min(axis=1) <= VECTOR_DEDUP_TOL  # the only rows `_duplicates_kept` can match

@@ -1,10 +1,10 @@
-"""Copositivity classification and witness search."""
+"""Copositivity classification."""
 
 import numpy as np
 import pytest
 
 from paretospec import fixtures
-from paretospec.copositivity import CopositivityVerdict, classify, direct_witness_search
+from paretospec.copositivity import CopositivityVerdict, classify
 from paretospec.eigen import SolverConfig
 from paretospec.tensor import build
 
@@ -120,19 +120,6 @@ def test_verdict_notes_carry_both_kinds():
     assert len(v.notes) == 2
     assert v.notes[0].startswith("H:")
     assert v.notes[1].startswith("Z:")
-
-
-def test_witness_search_finds_negative_direction():
-    t, _ = fixtures.parametric_quartic(-1.0)
-    w = direct_witness_search(t, FAST)
-    assert w is not None
-    assert w.min() >= 0.0
-    assert t.apply_full(w) < -1e-7
-
-
-def test_witness_search_none_for_copositive():
-    t, _ = fixtures.parametric_quartic(0.5)
-    assert direct_witness_search(t, FAST) is None
 
 
 def test_classify_deterministic():

@@ -6,11 +6,14 @@ interior pairs reduce to real roots of explicit quartics/cubics, solved
 here with numpy.roots).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from paretospec import fixtures
 from paretospec.eigen import (
+    POS_TOL,
     EigenPair,
     SolverConfig,
     residual,
@@ -412,7 +415,7 @@ def test_pair_residuals_below_tolerance_and_unit_norm():
             assert p.residual <= FAST.tol
             assert residual(t, p) <= FAST.tol
             assert knorm(p.vector, k) == pytest.approx(1.0, abs=1e-12)
-            assert p.vector.min() > FAST.pos_tol
+            assert p.vector.min() > POS_TOL
 
 
 def test_defining_equation_scale_consistency():
@@ -479,13 +482,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(starts=0)
     with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         solve_interior(fixtures.shifted_cubic()[0], "Q")
-    with pytest.warns(UserWarning):
-        SolverConfig(dedup_tol=1e-12, tol=1e-10)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["starts", "tol", "seed"]
+    for removed in ("max_iters", "pos_tol", "dedup_tol"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{removed: 1e-8})
+    # the dedup tolerance follows tol once tol exceeds 1e-8
+    assert SolverConfig().dedup_tol == 1e-8
+    assert SolverConfig(tol=1e-12).dedup_tol == 1e-8
+    assert SolverConfig(tol=1e-10).dedup_tol == 1e-8
+    assert SolverConfig(tol=1e-7).dedup_tol == 1e-7
 
 
 def test_keep_first_matches_greedy_loop():

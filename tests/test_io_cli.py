@@ -325,6 +325,15 @@ def test_cli_duplicate_warning_lands_in_report(capsys, tmp_path):
     assert any("duplicate indices" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("command", ["spectrum", "copositive"])
+def test_cli_loose_tol_reports_no_warning(capsys, cubic_file, command):
+    # the dedup tolerance follows --tol, so a loose tol is not a misconfiguration
+    code, report = run_json(capsys, command, cubic_file, "--tol", "1e-7")
+    assert code == 0
+    assert report["config"]["tol"] == 1e-7
+    assert report["warnings"] == []
+
+
 def test_cli_nonsymmetric_minimize_warning_in_report(capsys, tmp_path):
     path = tmp_path / "grouped.json"
     t, _ = grouped_quartic()

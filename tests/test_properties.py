@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from paretospec.eigen import SolverConfig, solve_interior, solved_exhaustively
+from paretospec.eigen import POS_TOL, SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import DEFAULT_SLACK_TOL, complement_slacks, pareto_spectrum, verify_pareto_pair
 from paretospec.tensor import Tensor, build, knorm
 from paretospec.tensorio import parse_document, serialize_document, tensor_to_document
@@ -248,7 +248,7 @@ def test_spectrum_matches_per_subset_reference(t, kind, slack_tol):
     # it; the 1e-12 slack window leaves out no exactly-zero slack
     for vector, slacks in [(c.vector, c.slacks) for c in spec.items] + [(w[2], w[3]) for w in want]:
         assume(not (np.abs(slacks + slack_tol) <= 1e-12).any())
-        assume(not (np.abs(vector - cfg.pos_tol) <= 1e-9).any())
+        assume(not (np.abs(vector - POS_TOL) <= 1e-9).any())
     assert [(c.subset, c.boundary) for c in spec.items] == [(w[0], w[4]) for w in want]
     for c, (_, value, vector, slacks, _) in zip(spec.items, want):
         assert abs(c.value - value) <= 1e-12
