@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON tensor document")
     p.add_argument("--kind", choices=("h", "z", "both"), default="both")
     p.add_argument("--resolution", type=int, default=None,
-                   help="also report a simplex-grid lower-bound crosscheck")
+                   help="also report the smallest value over a simplex grid of this "
+                        "resolution, an upper bound on the minimum")
 
     p = sub.add_parser("copositive", parents=[out, solver],
                        help="classify copositivity from the Pareto spectrum")

@@ -25,6 +25,9 @@ from .spectrum import DEFAULT_SLACK_TOL, EmptySpectrumError, min_pareto
 from .tensor import Tensor
 
 DEFAULT_ZERO_BAND = 1e-7
+# Two kinds' minima within this much (relative to the larger of 1 and their
+# magnitudes) tie: rounding, not the spectra, orders them.
+_TIE_TOL = 64 * np.finfo(np.float64).eps
 
 Route = str  # "H", "Z", or "both"
 
@@ -34,11 +37,12 @@ class CopositivityVerdict:
     """Classification with the eigenvalue evidence that produced it.
 
     min_eigenvalue is the smallest Pareto eigenvalue seen on the route (for
-    route="both", the smaller of the two kinds); certificate is its
-    eigenvector.  margin = |min_eigenvalue| - zero_band measures how far the
-    decision sits from the band edge: negative margin means the value landed
-    inside the band (classified as boundary).  notes carries per-route
-    diagnostics, mainly for inconclusive verdicts.
+    route="both", the smaller of the two kinds, or H's when the two tie
+    within rounding, 64 machine epsilons relative to max(1, |value|));
+    certificate is its eigenvector.  margin = |min_eigenvalue| - zero_band
+    measures how far the decision sits from the band edge: negative margin
+    means the value landed inside the band (classified as boundary).  notes
+    carries per-route diagnostics, mainly for inconclusive verdicts.
     """
 
     classification: str
@@ -86,7 +90,11 @@ def classify(
         f"{kind}: min Pareto eigenvalue {value:.12g}" for kind, (value, _) in results.items()
     ]
     classes = {kind: _classify_value(value, zero_band) for kind, (value, _) in results.items()}
-    lead_kind = min(results, key=lambda kd: results[kd][0])
+    lead_kind = kinds[0]
+    for kind in kinds[1:]:
+        lead, other = results[lead_kind][0], results[kind][0]
+        if other < lead - _TIE_TOL * max(1.0, abs(lead), abs(other)):
+            lead_kind = kind
     value, certificate = results[lead_kind]
     margin = abs(value) - zero_band
 

@@ -32,14 +32,18 @@ lockstep through vectorized contraction kernels.  Multistart is a heuristic:
 it can miss roots, so no completeness claim is attached to its output.
 
 The damping is a backtracking line search over the step lengths 2^-r,
-r = 0..30, and each member takes the first one that cuts its residual
-enough (Armijo).  `_backtrack` tries a block of rungs per call instead of
-one: every pending member gets the next B // pending rungs (at least one),
-B being the start count, so a call never holds more rows than the first
-full evaluation, and a straggler walks the whole ladder in one or two calls
-instead of one call per halving.  The accepted steps are the ones a
-rung-by-rung loop would take.  `minimize` uses the same helper for its
-projected-gradient backtracking.
+r = 0..6, and each member takes the first one that cuts its residual
+enough (Armijo).  The ladder ends where the stagnation rule would take
+over: a member is dropped when it fails to cut its residual by 10% within
+10 successive iterations, and to first order steps shorter than 2^-6 cannot
+do that, so a member that passes no rung up to 2^-6 is dropped at once.
+`_backtrack` tries a block of rungs per call instead of one: every pending
+member gets the next B // pending rungs (at least one), B being the start
+count, so a call never holds more rows than the first full evaluation, and
+a straggler walks the whole ladder in one or two calls instead of one call
+per halving.  The accepted steps are the ones a rung-by-rung loop would
+take.  `minimize` uses the same helper for its projected-gradient
+backtracking.
 """
 
 from __future__ import annotations
@@ -62,12 +66,17 @@ VECTOR_DEDUP_TOL = 1e-6
 _BATCH_CELLS = 1 << 20
 # Newton iterations per multistart member.
 _MAX_ITERS = 200
-# Line search halvings before a Newton member is abandoned.
-_MAX_HALVINGS = 30
-# A member that fails to cut its residual by 10% within this many successive
-# iterations is cycling, not converging; Newton inside a basin contracts much
-# faster, so such members are dropped early.
+# A member that fails to cut its residual to _STAGNATION_CUT of its best
+# within _STAGNATION_WINDOW successive iterations is cycling, not
+# converging; Newton inside a basin contracts much faster, so such members
+# are dropped early.
+_STAGNATION_CUT = 0.9
 _STAGNATION_WINDOW = 10
+# Line search halvings before a Newton member is abandoned.  To first order
+# a step of length a scales the residual by (1 - a), so steps shorter than
+# 1 - cut^(1/window) = 0.0105 cannot make the cut within the window: the
+# ladder ends at the last rung above that, 2^-6.
+_MAX_HALVINGS = int(-np.log2(1 - _STAGNATION_CUT ** (1 / _STAGNATION_WINDOW)))
 # Extra full Newton steps applied to accepted roots after renormalization.
 _POLISH_STEPS = 2
 # A root is genuine only if every eigen row cancels to this fraction of the
@@ -474,7 +483,7 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
             alive[act[grown]] = False
             done[act] = Fnorm[act] <= cfg.tol
 
-            improved = Fnorm[act] < 0.9 * best_seen[act]
+            improved = Fnorm[act] < _STAGNATION_CUT * best_seen[act]
             streak[act] = np.where(improved, 0, streak[act] + 1)
             best_seen[act] = np.minimum(best_seen[act], Fnorm[act])
             alive[act[streak[act] >= _STAGNATION_WINDOW]] = False

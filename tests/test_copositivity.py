@@ -6,6 +6,7 @@ import pytest
 from paretospec import fixtures
 from paretospec.copositivity import CopositivityVerdict, classify
 from paretospec.eigen import SolverConfig
+from paretospec.spectrum import min_pareto
 from paretospec.tensor import build
 
 FAST = SolverConfig(starts=150, seed=3)
@@ -128,3 +129,43 @@ def test_classify_deterministic():
     b = classify(t, config=FAST)
     assert a.min_eigenvalue == b.min_eigenvalue
     np.testing.assert_array_equal(a.certificate, b.certificate)
+
+
+def _shift_z_minimum(monkeypatch, z_value):
+    """Report z_value as the Z minimum, with the Z certificate unchanged."""
+    import paretospec.copositivity as cop
+
+    real = cop.min_pareto
+
+    def shifted(t, kind, config=None, slack_tol=None):
+        value, y = real(t, kind, config=config, slack_tol=slack_tol)
+        return (z_value, y) if kind == "Z" else (value, y)
+
+    monkeypatch.setattr(cop, "min_pareto", shifted)
+
+
+@pytest.mark.parametrize("z_value", [None, 1e-18, -1e-14])
+def test_minima_tied_within_rounding_leave_the_certificate_to_h(monkeypatch, z_value):
+    # ex4.1 at its boundary point: both minima are zero in exact arithmetic
+    # and come out as about 8e-18 (H) and 3e-17 (Z).  A Z minimum below H's
+    # by 7e-18 or by 1e-14, both within 64 machine epsilons, is rounding too
+    t, _ = fixtures.parametric_quartic(-(27.0 ** -0.25))
+    h_value, h_vector = min_pareto(t, "H", config=FAST)
+    if z_value is not None:
+        _shift_z_minimum(monkeypatch, z_value)
+    v = classify(t, route="both", config=FAST)
+    assert v.classification == "copositive_boundary"
+    assert v.min_eigenvalue == h_value
+    np.testing.assert_array_equal(v.certificate, h_vector)
+
+
+@pytest.mark.parametrize("z_value,want", [(-1e-17, 0.0), (-1e-12, -1e-12)])
+def test_order_two_minima_tied_within_rounding_leave_the_certificate_to_h(monkeypatch, z_value, want):
+    # both kinds give exactly 0 here; a Z minimum 1e-17 lower is rounding,
+    # one 1e-12 lower is not
+    boundary = build(2, 2, [((0, 0), 1.0), ((0, 1), -1.0), ((1, 0), -1.0), ((1, 1), 1.0)])
+    assert min_pareto(boundary, "H", config=FAST)[0] == 0.0
+    _shift_z_minimum(monkeypatch, z_value)
+    v = classify(boundary, route="both", config=FAST)
+    assert v.classification == "copositive_boundary"
+    assert v.min_eigenvalue == want

@@ -356,7 +356,8 @@ def _patterned_trial(passes, nonfinite, rows_per_call):
     return trial
 
 
-@pytest.mark.parametrize("last_rung", [_MAX_HALVINGS, _MAX_BACKTRACKS])
+# Newton's ladder, a 30-rung one, and minimize's
+@pytest.mark.parametrize("last_rung", [_MAX_HALVINGS, 30, _MAX_BACKTRACKS])
 def test_blocked_backtracking_matches_halving_ladder(last_rung):
     rng = np.random.default_rng(last_rung)
     n, rungs = 40, last_rung + 1
@@ -370,7 +371,7 @@ def test_blocked_backtracking_matches_halving_ladder(last_rung):
     nonfinite[3, :-1] = True  # non-finite until the last rung
     nonfinite[4] = True  # non-finite everywhere
     passes[5] = False
-    passes[5, [3, 9]] = True  # not monotone in the rung
+    passes[5, [last_rung // 2, last_rung - 1]] = True  # not monotone in the rung
     nonfinite[[0, 1, 2, 5]] = False
     member_sets = [np.arange(n), np.arange(0, n, 3), np.array([1]), np.array([2]), np.array([], dtype=np.intp)]
     # the budget is the solve's start count, never below the pending members

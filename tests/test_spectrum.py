@@ -20,7 +20,7 @@ from paretospec.spectrum import (
 )
 from paretospec.tensor import build, embed, knorm
 
-from conftest import dense_contract, dense_from_entries, random_entries
+from conftest import dense_contract, dense_from_entries, random_entries, random_symmetric_tensor
 
 from test_eigen import assert_value_sets_close, cubic_h_oracle, cubic_z_oracle
 
@@ -413,3 +413,42 @@ def test_batched_spectrum_matches_per_subset_reference(monkeypatch, batch_cells)
                 np.testing.assert_allclose(c.vector, vector, rtol=0, atol=1e-12, err_msg=where)
                 np.testing.assert_allclose(c.slacks, slacks, rtol=0, atol=1e-12, err_msg=where)
             assert spec.complete == want_complete, where
+
+
+# Bench `spectra` seed 3, item m4n3#23: the coefficient of each index multiset,
+# symmetrized.  Its Z-spectrum holds the pair near -0.723959 on (0, 1, 2) that
+# a Newton ladder without halvings misses.
+_LADDER_PROBE_M4N3 = (
+    -0.07507687327379764, 0.7037159818909293, 0.6225901728488239, 0.6992636734909103,
+    -0.33615793027237406, -0.0660125999480412, -0.6794440509715087, 0.16912289960177707,
+    -0.9152629334882252, -0.060974952164871254, -0.672784330059377, -0.04459013581142979,
+    -0.6374428930672225, -0.9969910752774049, -0.15648773135987404,
+)
+
+
+def _ladder_cases():
+    rng = np.random.default_rng(23)
+    for order in (3, 4):
+        for dim in (3, 4):
+            t = random_symmetric_tensor(rng, order, dim)
+            yield f"dense-m{order}n{dim}", t, ("H", "Z")
+    for order in (3, 4):
+        yield f"nonsymmetric-m{order}n3", build(order, 3, random_entries(rng, order, 3, 25)), ("H", "Z")
+    keys = itertools.combinations_with_replacement(range(3), 4)
+    yield "m4n3#23", build(4, 3, list(zip(keys, _LADDER_PROBE_M4N3)), symmetrize=True), ("Z",)
+
+
+def test_newton_ladder_cut_at_stagnation_rung_keeps_every_pair(monkeypatch):
+    """The short ladder emits what a 30-rung ladder emits, on Newton-solved inputs."""
+    for name, t, kinds in _ladder_cases():
+        for kind in kinds:
+            short = pareto_spectrum(t, kind)
+            with monkeypatch.context() as patch:
+                patch.setattr(eigen_mod, "_MAX_HALVINGS", 30)
+                long = pareto_spectrum(t, kind)
+            where = f"{name} {kind}"
+            assert [(c.subset, c.boundary) for c in short.items] == [(c.subset, c.boundary) for c in long.items], where
+            assert short.complete == long.complete, where
+            for s, g in zip(short.items, long.items):
+                assert abs(s.value - g.value) <= 1e-12, (where, s.subset)
+                np.testing.assert_allclose(s.vector, g.vector, rtol=0, atol=1e-9, err_msg=where)
