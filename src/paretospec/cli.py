@@ -324,11 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--seed", type=int, default=0, help="multistart seed (default 0)")
     solver.add_argument("--starts", type=int, default=None,
-                        help="multistart count per Newton sub-problem, which only those of 3 or more "
-                             "indices without a closed form take, and per minimize run "
-                             "(default 200 per dimension)")
+                        help="multistart count per Newton sub-problem, which only those of 4 or more "
+                             "indices without a closed form take, and 3-index ones whose exact solve "
+                             "falls short, and per minimize run (default 200 per dimension)")
     solver.add_argument("--tol", type=float, default=1e-10,
-                        help="solver residual tolerance; values within max(1e-8, tol) of each "
+                        help="solver residual tolerance, relative to the size of an equation's "
+                             "terms where that exceeds 1; values within max(1e-8, tol) of each "
                              "other count as one root, so the dedup tolerance is never below "
                              "tol (default 1e-10)")
 

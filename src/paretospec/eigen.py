@@ -17,16 +17,25 @@ is appended.  Special structure is solved exactly:
     polynomial of degree <= 2(m-1) (H) or <= m (Z), the generic eigenvalue
     counts for d = 2, whose roots come from a companion-matrix eigensolve
     (or a closed form when it has two terms).
+  * d = 3, m >= 3, not diagonal: with w = (1, s, t) in each of three charts
+    the system reduces to two polynomials in (s, t).  Their Sylvester
+    resultant in s, a matrix polynomial in t, is linearized by a block
+    companion matrix; its eigenvalues give t and its null vectors s.  The
+    roots kept across the charts must number c (m-1)^(c-1) (H) or
+    ((m-1)^c - 1) / (m-2) (Z) at c = 3, the generic eigenvector counts;
+    otherwise the sub-problem also runs multistart (below) and the claim
+    is withdrawn.
   * diagonal tensors, m >= 3: closed forms (H-pairs exist only when all
     diagonal entries are equal; Z-pairs exactly when they share a strict
     sign, with w_i proportional to |d_i|^(-1/(m-2))).
 
-These closed forms also solve many principal sub-tensors of one parent at
+These exact routes also solve many principal sub-tensors of one parent at
 once (`solve_closed_forms`): candidate rows carry their index subset, and
 the polish and filters read each sub-problem off the parent's contraction at
-the zero-filled vector, so no sub-tensor is built.
+the zero-filled vector, so no sub-tensor is built.  The singleton, matrix and
+diagonal roots are exact up to rounding and skip the polish.
 
-Everything else (d >= 3, not diagonal) goes through a damped Newton
+Everything else (d >= 4, not diagonal) goes through a damped Newton
 iteration run from many random starts at once; the whole batch moves in
 lockstep through vectorized contraction kernels.  Multistart is a heuristic:
 it can miss roots, so no completeness claim is attached to its output.
@@ -77,6 +86,26 @@ _STAGNATION_WINDOW = 10
 # 1 - cut^(1/window) = 0.0105 cannot make the cut within the window: the
 # ladder ends at the last rung above that, 2^-6.
 _MAX_HALVINGS = int(-np.log2(1 - _STAGNATION_CUT ** (1 / _STAGNATION_WINDOW)))
+# The hidden variable t of `_three_index` is rotated by this fixed angle,
+# t = (tau cos a - sin a) / (tau sin a + cos a): the kept roots, t in [0, 1],
+# land at |tau| <= 0.43 and t = infinity at tau = 2.37.  Any angle whose
+# cotangent is not a root would do; 0.3, 0.7, -0.8, -1.0 and 1.2 gave the
+# same output on 1,600 dense sub-problems.
+_ROTATION = -0.4
+# The charts of `_three_index`: (pivot p, q, r), with w_p = 1, w_q = s, w_r = t.
+_CHARTS = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+# Relative margin of the pivot rule that keeps each root of `_three_index`
+# in exactly one chart.
+_PIVOT_MARGIN = 1e-6
+# A leading coefficient of `_three_index` counts as singular when its
+# smallest singular value is at most _SINGULAR times its largest, and a
+# Sylvester null space as more than one-dimensional when its second smallest
+# one is at most _NULL_GAP times the largest.  A double eigenvalue of the
+# companion comes back split by about sqrt(eps) = 1.5e-8, so the gap of
+# such a pair is near that; on 1,600 dense sub-problems the gap of a simple
+# root was 7.8e-6 or more.
+_SINGULAR = 1e-12
+_NULL_GAP = 1e-7
 # Extra full Newton steps applied to accepted roots after renormalization.
 _POLISH_STEPS = 2
 # A root is genuine only if every eigen row cancels to this fraction of the
@@ -90,6 +119,9 @@ class SolverConfig:
     """Multistart size, residual tolerance and seed shared by the solvers.
 
     starts=None means 200 per dimension of the tensor actually being solved.
+    A root is accepted when its normalization row is within tol and each
+    eigen row within tol times the magnitude of its terms, where that
+    magnitude exceeds 1.
     """
 
     starts: int | None = None
@@ -151,9 +183,10 @@ def solve_closed_forms(
     """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
 
     The rows, sorted index sets of one size, must each give a sub-tensor
-    with a closed form: one or two indices, order 2, or diagonal.  They are
-    solved together on `t`, without building a sub-tensor, in consecutive
-    chunks of at most _BATCH_CELLS candidate-row cells.  Returns the arrays
+    with a closed form: one to three indices, order 2, or diagonal.  They
+    are solved together on `t`, without building a sub-tensor (but for the
+    multistart fallback of `_three_index`), in consecutive chunks of at most
+    _BATCH_CELLS cells of candidate rows and linearizations.  Returns the arrays
     (S, W, L, residual, C) of `_finalize` for all chunks, concatenated in
     subset order (no rows when nothing is found), and whether every
     sub-problem was solved exhaustively (see `solved_exhaustively`).
@@ -161,27 +194,36 @@ def solve_closed_forms(
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     size = subsets.shape[1]
-    # a matrix sub-problem gives up to `size` rows and a 2-index one up to
-    # 2(m-1).  Per row, t's kernels hold the placed dim^2 Jacobian, its
-    # touched cells, and one monomial product (and gather) per kernel
+    # a matrix sub-problem gives up to `size` rows, a 2-index one up to
+    # 2(m-1) and a 3-index one up to the generic root count.  Per row, t's
+    # kernels hold the placed dim^2 Jacobian, its touched cells, and one
+    # monomial product (and gather) per kernel
     mono, cells, _ = t._jacobian_tables
     row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
     per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
-    step = max(1, _BATCH_CELLS // (per_subset * row_cells))
+    subset_cells = 0
+    if size == 3 and t.order > 2:
+        # three charts per 3-index row: a slice scan, the Sylvester
+        # coefficients before and after the rotation, and the complex
+        # (two cells a number) companion matrix of size ns D
+        ns, D = _sylvester_shape(sph)
+        per_subset = _generic_count(sph, 3)
+        subset_cells = 3 * (t.order * t._coef.size + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
+    step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
     chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
     exhaustive = True
     for lo in range(0, subsets.shape[0], step):
-        S, W, L, chunk_exhaustive = _closed_form(t, sph, subsets[lo : lo + step], cfg)
+        S, W, L, chunk_exhaustive, polish = _closed_form(t, sph, subsets[lo : lo + step], cfg)
         exhaustive &= bool(chunk_exhaustive.all())
-        chunks.append(_finalize(t, sph, S, W, L, cfg))
+        chunks.append(_finalize(t, sph, S, W, L, cfg, polish))
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks)), exhaustive
 
 
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
     """True when solve_interior returns every interior pair, not a heuristic subset.
 
-    Mirrors its dispatch: dimension 1 or 2, order 2 and diagonal tensors
-    are solved exactly.  Where the interior pairs may form a
+    Mirrors its dispatch: dimension 1, 2 or 3, order 2 and diagonal
+    tensors are solved exactly.  Where the interior pairs may form a
     positive-dimensional family, the solver reports at most one
     representative, so the claim is withdrawn: a matrix with a repeated
     eigenvalue (two eigenvalues closer than the solver tolerance, relative
@@ -192,7 +234,13 @@ def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = Non
     zero on any sphere.  A dimension-2 tensor also withdraws it when two
     positive roots of its polynomial lie within sqrt(tol) of each other, as
     a near-double root does: whether such a pair is real is decided by
-    rounding.
+    rounding.  A dimension-3 tensor that is not diagonal withdraws it (and
+    is solved by multistart as well) when its resultant vanishes
+    identically or the leading coefficient of a chart is singular, when
+    the complex roots kept across the three charts are not the generic
+    count, when a root's Sylvester null space is not one-dimensional, or
+    when two positive roots of a chart lie within sqrt(tol); see
+    `_three_index`.
     """
     if not _has_closed_form(t):
         return False
@@ -248,7 +296,7 @@ def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.nda
 
 
 def _has_closed_form(t: Tensor) -> bool:
-    return t.dim <= 2 or t.order == 2 or t.is_diagonal()
+    return t.dim <= 3 or t.order == 2 or t.is_diagonal()
 
 
 def _matrix(t: Tensor) -> np.ndarray:
@@ -261,32 +309,34 @@ def _matrix(t: Tensor) -> np.ndarray:
 
 def _closed_form(
     t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Candidates (S, W, L) of the principal sub-tensors on the rows of `subsets`,
-    and per row whether its sub-problem is solved exhaustively.
+    per row of `subsets` whether its sub-problem is solved exhaustively, and
+    per candidate whether it still needs `_polish`.
 
     All rows have one size c and take one route:
       * c = 1: the value a_{i...i} with w = (1).
       * c = 2, order >= 3: the roots of one polynomial (`_two_index`).
+      * c = 3, order >= 3: `_three_index`, which hands a diagonal row on
+        to `_diagonal`.
       * order 2: eigendecomposition of the stacked principal sub-matrices;
         the H and Z systems coincide.  Eigenvectors are signed to a positive
         largest entry, and complex or non-positive ones are dropped.  The
         claim is withdrawn when two eigenvalues lie within the tolerance.
-      * diagonal, order >= 3, c >= 3: on a strictly positive vector the
-        i-th eigen row reads d_i w_i^{m-1} = value * rhs_i(w).  For H this forces
-        d_i = lambda for every i, so a pair exists only when all entries
-        coincide, and then the whole sphere is a family.  For Z it forces
-        d_i w_i^{m-2} = mu for all i, solvable exactly when the entries
-        share a strict sign, with w_i proportional to |d_i|^(-1/(m-2)); when
-        all entries are zero every vector pairs with 0.  A family is reported
-        by one representative and withdraws the claim.
+      * diagonal, order >= 3, c >= 4: `_diagonal`.
+    The singleton, matrix and diagonal candidates are exact up to rounding
+    and skip the polish; the 2- and 3-index ones come from companion
+    eigenvalues (or multistart) and take it.
     """
     N, c = subsets.shape
-    d = t.diagonal_entries()[subsets]
     if c == 1:
-        return subsets, np.ones((N, 1)), d[:, 0], np.ones(N, dtype=bool)
+        d = t.diagonal_entries()[subsets]
+        return subsets, np.ones((N, 1)), d[:, 0], np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
     if c == 2 and t.order > 2:
-        return _two_index(t, sph, subsets, cfg)
+        S, W, L, exhaustive = _two_index(t, sph, subsets, cfg)
+        return S, W, L, exhaustive, np.ones(L.size, dtype=bool)
+    if c == 3 and t.order > 2:
+        return _three_index(t, sph, subsets, cfg)
     if t.order == 2:
         M = _matrix(t)[subsets[:, :, None], subsets[:, None, :]]
         if t.symmetric:
@@ -302,17 +352,38 @@ def _closed_form(
         lead = np.take_along_axis(V, np.abs(V).argmax(axis=2)[:, :, None], axis=2)
         V = np.where(lead < 0, -V, V)
         rows, k = np.nonzero(real & (V.min(axis=2) > POS_TOL))
-        return subsets[rows], V[rows, k], ev.real[rows, k], exhaustive
+        return subsets[rows], V[rows, k], ev.real[rows, k], exhaustive, np.zeros(rows.size, dtype=bool)
+    return _diagonal(t, sph, subsets)
+
+
+def _diagonal(
+    t: Tensor, sph: Sphere, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `_closed_form` route for diagonal principal sub-tensors of order m >= 3.
+
+    On a strictly positive vector the i-th eigen row reads
+    d_i w_i^{m-1} = value * rhs_i(w).  For H this forces d_i = lambda for
+    every i, so a pair exists only when all entries coincide, and then the
+    whole sphere is a family.  For Z it forces d_i w_i^{m-2} = mu for all i,
+    solvable exactly when the entries share a strict sign, with w_i
+    proportional to |d_i|^(-1/(m-2)); when all entries are zero every vector
+    pairs with 0.  A family is reported by one representative and withdraws
+    the claim.
+    """
+    N, c = subsets.shape
     m = t.order
+    d = t.diagonal_entries()[subsets]
     if sph.k == m:  # H
         family = (d == d[:, :1]).all(axis=1)
         rows = np.flatnonzero(family)
-        return subsets[rows], np.full((rows.size, c), c ** (-1.0 / m)), d[rows, 0], ~family
-    zero = (d == 0.0).all(axis=1)
-    rows = np.flatnonzero(zero | (d > 0).all(axis=1) | (d < 0).all(axis=1))
-    u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
-    w = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
-    return subsets[rows], w, d[rows, 0] * w[:, 0] ** (m - 2), ~zero
+        W, L, exhaustive = np.full((rows.size, c), c ** (-1.0 / m)), d[rows, 0], ~family
+    else:
+        zero = (d == 0.0).all(axis=1)
+        rows = np.flatnonzero(zero | (d > 0).all(axis=1) | (d < 0).all(axis=1))
+        u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
+        W = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
+        L, exhaustive = d[rows, 0] * W[:, 0] ** (m - 2), ~zero
+    return subsets[rows], W, L, exhaustive, np.zeros(rows.size, dtype=bool)
 
 
 def _two_index(
@@ -384,6 +455,188 @@ def _two_index(
         p_i = p_i * s + P[owner, 0, k]
     L = p_i / sph.rhs(W)[:, 0]
     return subsets[owner], W, L, ~(family | close)
+
+
+def _generic_count(sph: Sphere, c: int) -> int:
+    """Eigenvector count of a generic order-m tensor of dimension c, complex roots included.
+
+    c (m-1)^(c-1) for H (Qi 2005) and ((m-1)^c - 1) / (m-2) for Z
+    (Cartwright & Sturmfels 2013).
+    """
+    m = sph.order
+    return c * (m - 1) ** (c - 1) if sph.k == m else ((m - 1) ** c - 1) // (m - 2)
+
+
+def _sylvester_shape(sph: Sphere) -> tuple[int, int]:
+    """(ns, D) of `_three_index`: the Sylvester matrix's size and its degree in t."""
+    m = sph.order
+    D = 2 * (m - 1) if sph.k == m else m
+    return D + m - 1, D
+
+
+def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dense, P, syl): the chart polynomials and Sylvester matrices of `_three_index`.
+
+    dense marks the rows of `subsets` whose sub-tensor is not diagonal; the
+    other arrays hold three charts of each of those rows, batch row b being
+    chart b // N of dense row b % N.  P[b, a, i, j] is the coefficient of
+    s^i t^j in the eigen row p_a, a = 0, 1, 2 for the chart's (p, q, r), and
+    syl[b, row, col, e] the coefficient of t^e in the Sylvester matrix of f
+    and g in s: rows s^k f (k < m-1), then s^k g (k < D); column col for
+    s^col.
+    """
+    m = t.order
+    lead_at = t._lead[:, None] == subsets[:, None, :]  # (N, K, 3)
+    trail_at = t._trail[:, :, None] == subsets[:, None, None, :]  # (N, K, m-1, 3)
+    inside = lead_at.any(axis=2) & trail_at.any(axis=3).all(axis=2)
+    dense = (inside & (t._trail != t._lead[:, None]).any(axis=1)).any(axis=1)
+    N = int(dense.sum())
+    n, r = np.nonzero(inside[dense])
+    local = lead_at[dense][n, r].argmax(axis=1)
+    power = trail_at[dense][n, r].sum(axis=1)  # (R, 3): how often each local index trails
+    P = np.zeros((3, N, 3, m, m))
+    for c, (_, q, rr) in enumerate(_CHARTS):
+        P[c, n, np.argsort(_CHARTS[c])[local], power[:, q], power[:, rr]] = t._coef[r]
+    P = P.reshape(3 * N, 3, m, m)
+    ns, D = _sylvester_shape(sph)
+    shift = D - (m - 1)
+    f = np.zeros((3 * N, D + 1, D + 1))
+    f[:, :m, :m] += P[:, 1]
+    f[:, shift:, :m] -= P[:, 0]
+    g = np.zeros((3 * N, m, D + 1))
+    g[:, :, :m] += P[:, 2]
+    g[:, :, shift:] -= P[:, 0]
+    syl = np.zeros((3 * N, ns, ns, D + 1))
+    for k in range(m - 1):
+        syl[:, k, k : k + D + 1] = f
+    for k in range(D):
+        syl[:, m - 1 + k, k : k + m] = g
+    return dense, P, syl
+
+
+def _hidden_roots(syl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, singular): every t at which the Sylvester matrices syl are singular.
+
+    Rotates t by _ROTATION, so the leading coefficient of each matrix
+    polynomial in tau is the Sylvester matrix at t = cot a, and solves the
+    block companions of all rows with one eigensolve.  roots has ns D
+    entries per row, those of the missing degree of the resultant at or
+    near t = infinity; `singular` marks the rows whose leading coefficient
+    is singular, whose roots are meaningless.
+    """
+    B, ns, _, D1 = syl.shape
+    D = D1 - 1
+    co, si = np.cos(_ROTATION), np.sin(_ROTATION)
+    R = np.zeros((D + 1, D + 1))  # R[e, k]: coefficient of tau^k in (tau co - si)^e (tau si + co)^(D - e)
+    for e in range(D + 1):
+        poly = np.ones(1)
+        for factor in [(-si, co)] * e + [(co, si)] * (D - e):
+            poly = np.convolve(poly, factor)
+        R[e] = poly
+    rot = np.einsum("brce,ek->bkrc", syl, R)
+    sv = np.linalg.svd(rot[:, D], compute_uv=False)
+    singular = ~(sv[:, -1] > _SINGULAR * sv[:, 0])
+    rot[singular, D] = np.eye(ns)
+    comp = np.zeros((B, ns * D, ns * D))
+    comp[:, : ns * (D - 1), ns:] = np.eye(ns * (D - 1))
+    comp[:, ns * (D - 1) :] = -np.linalg.solve(rot[:, D], np.concatenate(list(np.moveaxis(rot[:, :D], 1, 0)), axis=2))
+    tau = np.linalg.eigvals(comp)
+    with np.errstate(all="ignore"):
+        return (tau * co - si) / (tau * si + co), singular
+
+
+def _null_roots(syl: np.ndarray, b: np.ndarray, tr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, gap) for root tr[i] of row b[i] of syl.
+
+    s fits the Sylvester null vector (1, s, s^2, ...) in least squares;
+    gap is the second smallest singular value over the largest, near zero
+    when the null space is not one-dimensional.
+    """
+    D = syl.shape[3] - 1
+    X = syl[b, :, :, D].astype(complex)
+    for e in reversed(range(D)):  # Horner
+        X = X * tr[:, None, None] + syl[b, :, :, e]
+    _, sv, vh = np.linalg.svd(X)
+    x = vh[:, -1].conj()
+    with np.errstate(all="ignore"):  # x = (0, ..., 0, 1) is a root at s = infinity; X = 0 a family
+        return (x[:, :-1].conj() * x[:, 1:]).sum(axis=1) / (np.abs(x[:, :-1]) ** 2).sum(axis=1), sv[:, -2] / sv[:, 0]
+
+
+def _three_index(
+    t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `_closed_form` route for 3-index subsets of an order m >= 3 tensor.
+
+    A row whose sub-tensor is diagonal takes `_diagonal`.  The others are
+    solved in three charts, one per pivot index p with the other two q < r:
+    on w = (1, s, t) (w_p, w_q, w_r) the eigen rows p_a(s, t) = (A w^{m-1})_a
+    match value * rhs_a(w), and eliminating the value leaves
+    f = p_q - s^{m-1} p_p and g = p_r - t^{m-1} p_p (H), or f = p_q - s p_p
+    and g = p_r - t p_p (Z).  Slices feed the p_a as in `_two_index`.  The
+    Sylvester matrix of f and g in s, of size ns = deg f + deg g, is a
+    matrix polynomial of degree D = deg f in t, singular exactly at the t
+    of the common roots, and its null vector there is (1, s, s^2, ...).
+    `_hidden_roots` linearizes it (companion size ns D: 24, 15, 54 and 28
+    for H and Z at m = 3 and 4) and `_null_roots` reads s off.
+
+    A root with |t| <= 1 + _PIVOT_MARGIN is kept in the chart of its largest
+    entry: no entry exceeds the pivot by the margin, and an index below the
+    pivot stays under it by the margin, so a tie goes to the lower index.
+    The kept roots of the three charts are the complex eigenvectors, each
+    once, and the real positive ones are the candidates, polished like
+    those of `_two_index`.  The claim is withdrawn, and the row is also
+    solved by multistart on its sub-tensor, the candidates of both merging
+    in `_finalize`, when a chart's leading coefficient is singular (as when
+    the resultant vanishes identically), when the count of kept roots is
+    not the generic one (`_generic_count`: a root was lost, or is
+    multiple), when a kept root's Sylvester null space is not
+    one-dimensional, or when two candidates of a chart lie within sqrt(tol)
+    in angle arctan(t).
+    """
+    m = t.order
+    dense, P, syl = _sylvester(t, sph, subsets)
+    diagonal = _diagonal(t, sph, subsets[~dense])
+    exhaustive = np.ones(subsets.shape[0], dtype=bool)
+    exhaustive[~dense] = diagonal[3]
+    sub = subsets[dense]
+    N = sub.shape[0]
+    if N == 0:
+        return diagonal[:3] + (exhaustive, diagonal[4])
+
+    t_all, singular = _hidden_roots(syl)
+    b, k = np.nonzero(np.abs(t_all) <= 1.0 + _PIVOT_MARGIN)
+    tr = t_all[b, k]
+    sr, gap = _null_roots(syl, b, tr)
+    chart = b // N
+    size = np.stack([np.ones(b.size), np.abs(sr), np.abs(tr)], axis=1)  # |w_p|, |w_q|, |w_r|
+    below = _CHARTS[chart] < chart[:, None]  # entries of an index below the pivot
+    kept = (size <= np.where(below, 1.0 - _PIVOT_MARGIN, 1.0 + _PIVOT_MARGIN)).all(axis=1)
+    b, chart, tr, sr = b[kept], chart[kept], tr[kept], sr[kept]
+    owner = b % N
+    ok = np.bincount(owner, minlength=N) == _generic_count(sph, 3)
+    ok &= ~singular.reshape(3, N).any(axis=0)
+    ok[owner[~(gap[kept] > _NULL_GAP)]] = False
+
+    sep = np.sqrt(cfg.tol)
+    real = (sr.real > 0) & (tr.real > 0) & (np.abs(sr.imag) <= sep * np.abs(sr)) & (np.abs(tr.imag) <= sep * np.abs(tr))
+    real &= ~singular[b]
+    by_root = np.flatnonzero(real)[np.lexsort((tr.real[real], b[real]))]
+    b, chart, owner, s, tk = b[by_root], chart[by_root], owner[by_root], sr.real[by_root], tr.real[by_root]
+    ok[owner[1:][(b[1:] == b[:-1]) & (np.diff(np.arctan(tk)) <= sep)]] = False
+
+    Wc = np.stack([np.ones_like(s), s, tk], axis=1)  # (w_p, w_q, w_r)
+    p_p = np.einsum("rij,ri,rj->r", P[b, 0], s[:, None] ** np.arange(m), tk[:, None] ** np.arange(m))
+    L = p_p / sph.rhs(Wc)[:, 0]
+    W = np.empty_like(Wc)
+    np.put_along_axis(W, _CHARTS[chart], Wc, axis=1)
+
+    exhaustive[dense] = ok
+    parts = [diagonal[:3] + diagonal[4:], (sub[owner], W, L, np.ones(L.size, dtype=bool))]
+    for row in sub[~ok]:
+        NL, NW = _newton_candidates(t.principal_subtensor(row), sph, cfg)
+        parts.append((np.broadcast_to(row, NW.shape), NW, NL, np.ones(NL.size, dtype=bool)))
+    S, W, L, polish = (np.concatenate(arrays) for arrays in zip(*parts))
+    return S, W, L, exhaustive, polish
 
 
 # -- multistart Newton --------------------------------------------------------
@@ -493,16 +746,15 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
 
 
 def _polish(
-    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray
+    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray, F: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A couple of undamped Newton steps to tighten renormalized roots on supports S.
 
-    Returns the new W and L, the system F(W, L) there and t's contraction at
-    the zero-filled rows.
+    (F, C) is `_support_system` at (W, L).  Returns the new W and L, the
+    system F(W, L) there and t's contraction at the zero-filled rows.
     """
     c = S.shape[1]
     with np.errstate(all="ignore"):
-        F, C = _support_system(t, sph, S, W, L)
         for _ in range(_POLISH_STEPS):
             step = _solve_steps(_support_jac(t, sph, S, W, L), F)
             nW = W + step[:, :c]
@@ -518,29 +770,44 @@ def _polish(
 
 
 def _finalize(
-    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray, cfg: SolverConfig
+    t: Tensor,
+    sph: Sphere,
+    S: np.ndarray,
+    W: np.ndarray,
+    L: np.ndarray,
+    cfg: SolverConfig,
+    polish: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Positivity filter, exact renormalization, polish, dedup, stable order.
+    """Positivity filter, exact renormalization, polish, residual test, dedup, stable order.
 
-    Candidate r is (L[r], W[r]) on the support S[r].  Returns the rows that
-    pass and survive `_keep_first` as (S, W, L, residual, C), C being t's
-    contraction at the zero-filled vectors, sorted by support, then value,
-    then vector.
+    Candidate r is (L[r], W[r]) on the support S[r].  Only the rows marked
+    in `polish` (by default all) take `_polish`; the others are exact up to
+    rounding already.  Returns the rows that pass and survive `_keep_first`
+    as (S, W, L, residual, C), C being t's contraction at the zero-filled
+    vectors, sorted by support, then value, then vector.
     """
     c = S.shape[1]
     interior = W.min(axis=1) > POS_TOL
     S, W, L = S[interior], W[interior], L[interior]
+    polish = np.arange(L.size) if polish is None else np.flatnonzero(polish[interior])
     if W.shape[0] == 0:
         return S, W, L, np.empty(0), np.empty((0, t.dim))
     W = sph.normalize(W)
-    W, L, F, C = _polish(t, sph, S, W, L)
+    F, C = _support_system(t, sph, S, W, L)
+    if polish.size:
+        W[polish], L[polish], F[polish], C[polish] = _polish(
+            t, sph, S[polish], W[polish], L[polish], F[polish], C[polish]
+        )
 
     with np.errstate(all="ignore"):
         res = np.abs(F).max(axis=1)
         magnitude = np.take_along_axis(t.contract_magnitude_batch(embed_rows(W, S, t.dim)), S, axis=1)
         scale = magnitude + np.abs(L)[:, None] * np.abs(sph.rhs(W))
         genuine = (np.abs(F[:, :c]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
-    keep = np.isfinite(res) & (res <= cfg.tol) & (W.min(axis=1) > POS_TOL) & genuine
+        # tol bounds an eigen row relative to its scale once that exceeds 1:
+        # a polished root keeps the rounding of its entries' size
+        converged = (np.abs(F[:, :c]) <= cfg.tol * np.maximum(1.0, scale)).all(axis=1) & (np.abs(F[:, c]) <= cfg.tol)
+    keep = np.isfinite(res) & converged & (W.min(axis=1) > POS_TOL) & genuine
     keys = tuple(W[keep, j] for j in reversed(range(c))) + (L[keep],) + tuple(S[keep, j] for j in reversed(range(c)))
     order = np.flatnonzero(keep)[np.lexsort(keys)]
     S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]

@@ -13,14 +13,16 @@ N of the index set therefore produces the complete spectrum, up to the
 completeness of the per-subset interior solver.
 
 Subsets are enumerated by cardinality.  The sub-problems of one cardinality
-that have a closed form (one or two indices, order 2, or a diagonal
+that have an exact route (one to three indices, order 2, or a diagonal
 sub-tensor, which bitmasks of the parent's off-diagonal slices detect) are
 solved as one batch on the parent tensor; only the others, solved by
-multistart Newton, build a principal sub-tensor.  Both give arrays of
-supports, vectors, values, residuals and A y^{m-1} at the zero-filled
-vectors y, whose off-support entries are the complement slacks.  One mask
-admits rows, and only admitted rows become certificates.  A dimension-2
-tensor is solved exactly.
+multistart Newton, build a principal sub-tensor (as does a 3-index one that
+the exact route cannot certify, which runs multistart too).  Both give
+arrays of supports, vectors, values, residuals and A y^{m-1} at the
+zero-filled vectors y, whose off-support entries are the complement slacks.
+One mask admits rows, and only admitted rows become certificates.  A tensor
+of dimension 3 or less is solved exactly, up to the withdrawals of
+`solved_exhaustively`.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ def pareto_spectrum(
     Duplicate pairs reachable from several subsets keep the certificate of
     the smallest (then lexicographically first) subset.  The `complete` flag
     is True only when every sub-problem was solved by an exhaustive method
-    (see `solved_exhaustively`: dimension 1 or 2, order 2, or diagonal,
-    without a positive-dimensional family or a near-double root); any
-    multistart sub-solve withdraws the claim.
+    (see `solved_exhaustively`: dimension 1, 2 or 3, order 2, or diagonal,
+    without a positive-dimensional family, a near-double root or, for 3
+    indices, a short root count); any multistart sub-solve withdraws the
+    claim.
     """
     Sphere(kind, t.order)  # rejects an unknown kind before any subset is solved
     if not slack_tol > 0:
@@ -125,7 +128,7 @@ def pareto_spectrum(
     for card in range(1, t.dim + 1):
         subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
         closed = np.ones(len(subsets), dtype=bool)
-        if card > 2 and diagonal is not None:
+        if card > 3 and diagonal is not None:
             closed = diagonal[np.left_shift(1, subsets).sum(axis=1)]
         (S, W, L, res, C), exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
         complete &= exhaustive

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import paretospec.eigen as eigen_mod
 from paretospec import fixtures
 from paretospec.eigen import (
     POS_TOL,
@@ -25,8 +26,13 @@ from paretospec.eigen import (
     _MAX_HALVINGS,
     _backtrack,
     _finalize,
+    _generic_count,
+    _hidden_roots,
     _keep_first,
     _newton_candidates,
+    _null_roots,
+    _sylvester,
+    _sylvester_shape,
     _system_eval,
     _system_jac,
 )
@@ -324,6 +330,88 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
+# -- exact 3-index route -------------------------------------------------------
+
+
+def _complex_contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(A x^{m-1})_i of a dense array at a complex vector."""
+    out = a.astype(complex)
+    for _ in range(a.ndim - 1):
+        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_three_index_chart_finds_the_generic_root_count(kind, order):
+    """One chart of a random dense tensor has 12 / 7 / 27 / 13 finite complex roots.
+
+    Each root (1, s, t) of the chart with pivot 0 is checked on the dense
+    array: A w^{m-1} must be parallel to w^[m-1] (H) or w (Z).  The
+    generic counts are 3 (m-1)^2 and ((m-1)^3 - 1) / (m-2); the other
+    eigenvalues of the companion lie at t = infinity and fail the check.
+    """
+    t = random_symmetric_tensor(np.random.default_rng(1), order, 3)
+    sph = Sphere(kind, order)
+    dense, _, syl = _sylvester(t, sph, np.array([[0, 1, 2]]))
+    assert dense.tolist() == [True]
+    roots, singular = _hidden_roots(syl)
+    assert not singular.any()
+    ns, D = _sylvester_shape(sph)
+    assert roots.shape == (3, ns * D)  # three charts, each its block companion's eigenvalues
+    assert ns * D == {(3, "H"): 24, (3, "Z"): 15, (4, "H"): 54, (4, "Z"): 28}[order, kind]
+    tr = roots[0]
+    s, _ = _null_roots(syl, np.zeros(tr.size, dtype=np.intp), tr)
+    a = dense_from_entries(order, 3, [((lead,) + trail, v) for (lead, trail), v in t.slices.items()])
+    power = order - 1 if kind == "H" else 1
+    relative = []
+    for si, ti in zip(s, tr):
+        w = np.array([1.0, si, ti])
+        c = _complex_contract(a, w)
+        scale = _complex_contract(np.abs(a), np.abs(w)).real + np.abs(c[0]) * np.abs(w) ** power
+        relative.append(np.max(np.abs(c - c[0] * w**power) / scale))
+    relative = np.array(relative)
+    want = {(3, "H"): 12, (3, "Z"): 7, (4, "H"): 27, (4, "Z"): 13}[order, kind]
+    assert _generic_count(sph, 3) == want
+    assert (relative < 1e-6).sum() == want
+    assert (relative[relative >= 1e-6] > 1e-2).all()
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_three_index_route_is_exhaustive_and_finds_the_multistart_pairs(order):
+    rng = np.random.default_rng(40 + order)
+    for _ in range(3):
+        t = random_symmetric_tensor(rng, order, 3)
+        for kind in ("H", "Z"):
+            assert solved_exhaustively(t, kind) is True
+            exact = solve_interior(t, kind)
+            sph = Sphere(kind, order)
+            L, W = _newton_candidates(t, sph, SolverConfig(starts=3000, seed=5))
+            _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, FAST)
+            for value, vector in zip(L, W):
+                assert any(abs(p.value - value) <= 1e-9 and np.abs(p.vector - vector).max() <= 1e-7 for p in exact)
+            for p in exact:
+                assert p.residual <= FAST.tol
+                assert knorm(p.vector, sph.k) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_three_index_family_falls_back_to_multistart(monkeypatch):
+    # (x.x)^2 pairs every vector with the Z-value 1: f = p_1 - s p_0 and
+    # g = p_2 - t p_0 vanish identically, and so does their resultant
+    entries = [((i, i, j, j), 1.0) for i in range(3) for j in range(3)]
+    t = build(4, 3, entries, symmetrize=True)
+    calls = []
+    newton = eigen_mod._newton_candidates
+    monkeypatch.setattr(eigen_mod, "_newton_candidates", lambda *a: calls.append(a) or newton(*a))
+    assert solved_exhaustively(t, "Z") is False
+    pairs = solve_interior(t, "Z", FAST)
+    assert len(calls) == 2
+    assert len(pairs) > 1
+    for p in pairs:
+        assert p.value == pytest.approx(1.0, abs=1e-10)
+        assert residual(t, p) <= FAST.tol
+
+
 def _halving_ladder(members, last_rung, trial, out):
     """Reference line search: one call per rung, halving every pending step."""
     passed = np.zeros(out[0].shape[0], dtype=bool)
@@ -438,13 +526,14 @@ def test_matrix_h_and_z_spectra_coincide():
 
 
 def test_solver_is_deterministic():
-    t, _ = fixtures.shifted_cubic()
     cfg = SolverConfig(starts=120, seed=9)
-    a = solve_interior(t, "H", cfg)
-    b = solve_interior(t, "H", cfg)
-    assert [p.value for p in a] == [p.value for p in b]
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa.vector, pb.vector)
+    # dimension 2, and dimension 3 on the exact 3-index route
+    for t in (fixtures.shifted_cubic()[0], random_symmetric_tensor(np.random.default_rng(9), 4, 3)):
+        a = solve_interior(t, "H", cfg)
+        b = solve_interior(t, "H", cfg)
+        assert [p.value for p in a] == [p.value for p in b]
+        for pa, pb in zip(a, b):
+            np.testing.assert_array_equal(pa.vector, pb.vector)
 
 
 def test_results_sorted_by_value_then_vector():

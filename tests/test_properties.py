@@ -2,17 +2,20 @@
 
 The oracles are the dense-array helpers of conftest, for dimension 2
 numpy.roots on the reduced polynomial built entry by entry in test_eigen,
-and for whole spectra the subset-by-subset reference of test_spectrum.
+for exhaustive dimension-3 solves multistart Newton, and for whole spectra
+the subset-by-subset reference of test_spectrum.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from paretospec.eigen import POS_TOL, SolverConfig, solve_interior, solved_exhaustively
+from paretospec.eigen import POS_TOL, SolverConfig, _finalize, _newton_candidates, solve_interior, solved_exhaustively
 from paretospec.spectrum import DEFAULT_SLACK_TOL, complement_slacks, pareto_spectrum, verify_pareto_pair
-from paretospec.tensor import Tensor, build, knorm
+from paretospec.tensor import Sphere, Tensor, build, knorm
 from paretospec.tensorio import parse_document, serialize_document, tensor_to_document
 
 from conftest import dense_contract, dense_from_entries, dense_full, dense_jacobian, dense_symmetrize
@@ -21,7 +24,8 @@ from test_eigen import assert_pairs_match, two_index_oracle, two_index_polynomia
 from test_spectrum import _reference_spectrum
 
 SETTINGS = settings(max_examples=60, deadline=None)
-# sub-problems of three or more indices still run multistart Newton
+# sub-problems of four or more indices, and 3-index ones the exact route
+# cannot certify, still run multistart Newton
 CHEAP = SolverConfig(starts=60, seed=2)
 
 # exact zeros, quarter-integers (exact cancellations, repeated roots) and
@@ -212,6 +216,33 @@ def test_two_index_route_matches_roots_oracle(drawn):
             for p in pairs:
                 s = p.vector[1] / p.vector[0]
                 assert np.abs(z - s).min() <= 1e-4 * max(1.0, s)
+
+
+@st.composite
+def three_index_tensors(draw):
+    """A symmetric order-3/4 tensor of dimension 3 with one drawn coefficient per index multiset."""
+    order = draw(st.integers(3, 4))
+    keys = list(itertools.combinations_with_replacement(range(3), order))
+    values = draw(st.lists(coefficients, min_size=len(keys), max_size=len(keys)))
+    return build(order, 3, list(zip(keys, values)), symmetrize=True)
+
+
+@SETTINGS
+@given(three_index_tensors(), st.sampled_from(["H", "Z"]))
+def test_exhaustive_three_index_route_keeps_every_multistart_pair(t, kind):
+    # the claim under test: an exhaustive 3-index solve misses no root that
+    # multistart (other seed and start count than any fallback) converges to
+    assume(solved_exhaustively(t, kind))
+    exact = solve_interior(t, kind)
+    sph, cfg = Sphere(kind, t.order), SolverConfig(starts=400, seed=3)
+    L, W = _newton_candidates(t, sph, cfg)
+    _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, cfg)
+    for value, vector in zip(L, W):
+        assume(vector.min() > 1e-6)  # near the positivity filter either side may drop it
+        assert any(
+            abs(p.value - value) <= 1e-8 * max(1.0, abs(value)) and np.abs(p.vector - vector).max() <= 1e-6
+            for p in exact
+        ), (value, vector)
 
 
 @SETTINGS

@@ -18,7 +18,7 @@ from paretospec.spectrum import (
     pareto_spectrum,
     verify_pareto_pair,
 )
-from paretospec.tensor import build, embed, knorm
+from paretospec.tensor import Sphere, build, embed, knorm
 
 from conftest import dense_contract, dense_from_entries, random_entries, random_symmetric_tensor
 
@@ -181,6 +181,19 @@ def test_uniform_diagonal_has_a_certificate_per_subset():
     assert all(c.value == pytest.approx(2.0, abs=1e-12) for c in spec.items)
     assert all(not c.boundary for c in spec.items)
     assert not spec.complete
+
+
+def test_diagonal_three_subsets_keep_their_closed_form(monkeypatch):
+    # all 3-subsets of a diagonal tensor are diagonal: no chart and no multistart
+    def fail(*args):
+        raise AssertionError("a diagonal sub-problem reached an iterative route")
+
+    monkeypatch.setattr(eigen_mod, "_newton_candidates", fail)
+    monkeypatch.setattr(eigen_mod, "_hidden_roots", fail)
+    t = build(3, 3, [((i, i, i), 2.0) for i in range(3)])
+    spec = pareto_spectrum(t, "H")
+    assert len(spec.items) == 7
+    assert spec.complete is False  # equal entries: every subset holds an H family
 
 
 def test_diagonal_spectrum_is_complete():
@@ -438,17 +451,70 @@ def _ladder_cases():
     yield "m4n3#23", build(4, 3, list(zip(keys, _LADDER_PROBE_M4N3)), symmetrize=True), ("Z",)
 
 
+def _multistart_pairs(t, kind):
+    """Multistart Newton on the whole index set, which spectra solve exactly up to dimension 3."""
+    sph, cfg = Sphere(kind, t.order), SolverConfig()
+    L, W = eigen_mod._newton_candidates(t, sph, cfg)
+    return eigen_mod._finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)[1:3]
+
+
 def test_newton_ladder_cut_at_stagnation_rung_keeps_every_pair(monkeypatch):
     """The short ladder emits what a 30-rung ladder emits, on Newton-solved inputs."""
     for name, t, kinds in _ladder_cases():
         for kind in kinds:
             short = pareto_spectrum(t, kind)
+            short_w, short_l = _multistart_pairs(t, kind)
             with monkeypatch.context() as patch:
                 patch.setattr(eigen_mod, "_MAX_HALVINGS", 30)
                 long = pareto_spectrum(t, kind)
+                long_w, long_l = _multistart_pairs(t, kind)
             where = f"{name} {kind}"
+            assert short_l.size == long_l.size, where
+            np.testing.assert_allclose(short_l, long_l, rtol=0, atol=1e-12, err_msg=where)
+            np.testing.assert_allclose(short_w, long_w, rtol=0, atol=1e-9, err_msg=where)
             assert [(c.subset, c.boundary) for c in short.items] == [(c.subset, c.boundary) for c in long.items], where
             assert short.complete == long.complete, where
             for s, g in zip(short.items, long.items):
                 assert abs(s.value - g.value) <= 1e-12, (where, s.subset)
                 np.testing.assert_allclose(s.vector, g.vector, rtol=0, atol=1e-9, err_msg=where)
+
+
+# Pairs that multistart Newton (default starts) misses on dense n = 3 tensors
+# and the exact 3-index route finds: (seed, order, kind, value, vector), the
+# tensor drawing uniform[-1, 1] per index multiset from default_rng(seed).
+# All lie near a face of the orthant.
+_MULTISTART_MISSES = (
+    (239, 3, "Z", -0.4199392629, (0.0123244453, 0.9662108826, 0.2574580322)),
+    (87, 3, "H", 0.0775619587, (0.0338480244, 0.9999870721, 0.0015807619)),
+    (87, 3, "Z", 0.0773973369, (0.0426942705, 0.9990760531, 0.0049233562)),
+    (97, 4, "H", 0.3430650287, (0.9999736799, 0.1008516154, 0.0367601042)),
+    (233, 4, "Z", -0.1244052833, (0.0256539001, 0.0345278160, 0.9990744253)),
+)
+
+
+@pytest.mark.parametrize("seed, order, kind, value, vector", _MULTISTART_MISSES)
+def test_three_index_route_recovers_pairs_multistart_misses(seed, order, kind, value, vector):
+    rng = np.random.default_rng(seed)
+    keys = itertools.combinations_with_replacement(range(3), order)
+    t = build(order, 3, [(key, float(rng.uniform(-1.0, 1.0))) for key in keys], symmetrize=True)
+    spec = pareto_spectrum(t, kind)
+    found = [c for c in spec.items if abs(c.value - value) <= 1e-8 and np.abs(c.vector - vector).max() <= 1e-6]
+    assert len(found) == 1, spec.items
+    assert found[0].subset == (0, 1, 2)
+    assert verify_pareto_pair(t, found[0].value, found[0].vector, kind).ok
+    assert spec.complete is True
+
+
+@pytest.mark.parametrize("seed, order, kind", [(0, 3, "H"), (1, 3, "H"), (3, 4, "Z"), (4, 4, "H")])
+def test_spectrum_of_a_scaled_tensor_is_scaled(seed, order, kind):
+    # entries near 1e6 leave polished residuals near 1e-10 by rounding alone;
+    # the residual test must not drop those pairs
+    rng = np.random.default_rng(seed)
+    entries = [(key, float(rng.uniform(-1.0, 1.0))) for key in itertools.combinations_with_replacement(range(3), order)]
+    unit = pareto_spectrum(build(order, 3, entries, symmetrize=True), kind)
+    scaled = pareto_spectrum(build(order, 3, [(key, 1e6 * v) for key, v in entries], symmetrize=True), kind)
+    assert [c.subset for c in scaled.items] == [c.subset for c in unit.items]
+    for s, u in zip(scaled.items, unit.items):
+        assert s.value / 1e6 == pytest.approx(u.value, abs=1e-9)
+        np.testing.assert_allclose(s.vector, u.vector, rtol=0, atol=1e-9)
+    assert scaled.complete == unit.complete
