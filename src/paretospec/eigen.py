@@ -9,25 +9,26 @@ and an interior Z-pair solves
     B w^{m-1} = mu (w.w)^{(m-2)/2} w,   w > 0,   sum_i w_i^2 = 1.
 
 Both are square polynomial systems in (w, lambda) once the normalization row
-is appended.  Special structure is solved exactly:
+is appended.  One route table, `_closed_form`, decides how each sub-problem
+is solved, and special structure is solved exactly:
 
   * d = 1: the single diagonal coefficient with w = (1).
   * m = 2: dense eigendecomposition; the two kinds coincide.
-  * d = 2, m >= 3: with w = (1, s) the system reduces to one univariate
-    polynomial of degree <= 2(m-1) (H) or <= m (Z), the generic eigenvalue
-    counts for d = 2, whose roots come from a companion-matrix eigensolve
-    (or a closed form when it has two terms).
+  * diagonal tensors, m >= 3, any d: closed forms (H-pairs exist only when
+    all diagonal entries are equal; Z-pairs exactly when they share a
+    strict sign, with w_i proportional to |d_i|^(-1/(m-2))).
+  * d = 2, m >= 3, not diagonal: with w = (1, s) the system reduces to one
+    univariate polynomial of degree <= 2(m-1) (H) or <= m (Z), the generic
+    eigenvalue counts for d = 2, whose roots come from a companion-matrix
+    eigensolve.
   * d = 3, m >= 3, not diagonal: with w = (1, s, t) in each of three charts
     the system reduces to two polynomials in (s, t).  Their Sylvester
     resultant in s, a matrix polynomial in t, is linearized by a block
     companion matrix; its eigenvalues give t and its null vectors s.  The
     roots kept across the charts must number c (m-1)^(c-1) (H) or
     ((m-1)^c - 1) / (m-2) (Z) at c = 3, the generic eigenvector counts;
-    otherwise the sub-problem also runs multistart (below) and the claim
-    is withdrawn.
-  * diagonal tensors, m >= 3: closed forms (H-pairs exist only when all
-    diagonal entries are equal; Z-pairs exactly when they share a strict
-    sign, with w_i proportional to |d_i|^(-1/(m-2))).
+    otherwise the claim is withdrawn and the sub-problem also runs
+    multistart (below), both candidate sets merging.
 
 These exact routes also solve many principal sub-tensors of one parent at
 once (`solve_closed_forms`): candidate rows carry their index subset, and
@@ -35,10 +36,12 @@ the polish and filters read each sub-problem off the parent's contraction at
 the zero-filled vector, so no sub-tensor is built.  The singleton, matrix and
 diagonal roots are exact up to rounding and skip the polish.
 
-Everything else (d >= 4, not diagonal) goes through a damped Newton
-iteration run from many random starts at once; the whole batch moves in
-lockstep through vectorized contraction kernels.  Multistart is a heuristic:
-it can miss roots, so no completeness claim is attached to its output.
+The route table runs no multistart: it marks the rows that need it (d >= 4
+and not diagonal, or an uncertified d = 3), and `solve_interior` is the one
+place that runs it, a damped Newton iteration from many random starts at
+once; the whole batch moves in lockstep through vectorized contraction
+kernels.  Multistart is a heuristic: it can miss roots, so no completeness
+claim is attached to its output.
 
 The damping is a backtracking line search over the step lengths 2^-r,
 r = 0..6, and each member takes the first one that cuts its residual
@@ -166,86 +169,79 @@ def residual(t: Tensor, pair: EigenPair) -> float:
 
 
 def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> list[EigenPair]:
-    """All interior pairs of the kind found for `t`, deduplicated and sorted."""
+    """All interior pairs of the kind found for `t`, deduplicated and sorted.
+
+    `_closed_form` routes the whole index set; when it marks the row for
+    multistart, the converged Newton members join its exact candidates (if
+    any) in one `_finalize`.
+    """
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
-    if _has_closed_form(t):
-        (_, W, L, res, _), _ = solve_closed_forms(t, kind, np.arange(t.dim)[None, :], cfg)
-    else:
-        L, W = _newton_candidates(t, sph, cfg)
-        _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)
+    _, W, L, polish, _, multistart = _closed_form(t, sph, np.arange(t.dim)[None, :], cfg)
+    if multistart[0]:
+        NL, NW = _newton_candidates(t, sph, cfg)
+        W, L, polish = np.concatenate([W, NW]), np.concatenate([L, NL]), np.r_[polish, np.ones(NL.size, dtype=bool)]
+    _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg, polish)
     return [EigenPair(float(v), w.copy(), kind, float(r)) for v, w, r in zip(L, W, res)]
 
 
 def solve_closed_forms(
     t: Tensor, kind: Kind, subsets: np.ndarray, config: SolverConfig | None = None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], bool]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
 
-    The rows, sorted index sets of one size, must each give a sub-tensor
-    with a closed form: one to three indices, order 2, or diagonal.  They
-    are solved together on `t`, without building a sub-tensor (but for the
-    multistart fallback of `_three_index`), in consecutive chunks of at most
-    _BATCH_CELLS cells of candidate rows and linearizations.  Returns the arrays
-    (S, W, L, residual, C) of `_finalize` for all chunks, concatenated in
-    subset order (no rows when nothing is found), and whether every
-    sub-problem was solved exhaustively (see `solved_exhaustively`).
+    The rows, sorted index sets of one size, are routed by `_closed_form`
+    and solved together on `t`, without building a sub-tensor, in
+    consecutive chunks of at most _BATCH_CELLS cells of candidate rows,
+    slice scans and linearizations.  Returns the arrays (S, W, L, residual,
+    C) of `_finalize` for all chunks, concatenated in subset order (no rows
+    when nothing is found), and per row of `subsets` whether its sub-problem
+    was solved exhaustively and whether it needs multistart.  The rows
+    marked for multistart contribute no pairs here: the caller solves them
+    with `solve_interior`.
     """
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
-    size = subsets.shape[1]
+    N, size = subsets.shape
     # a matrix sub-problem gives up to `size` rows, a 2-index one up to
-    # 2(m-1) and a 3-index one up to the generic root count.  Per row, t's
-    # kernels hold the placed dim^2 Jacobian, its touched cells, and one
-    # monomial product (and gather) per kernel
+    # 2(m-1), a 3-index one up to the generic root count and any other at
+    # most one.  Per row, t's kernels hold the placed dim^2 Jacobian, its
+    # touched cells, and one monomial product (and gather) per kernel
     mono, cells, _ = t._jacobian_tables
     row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
     per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
-    subset_cells = 0
+    # the slice scan of `_off_diagonal`: order cells per slice
+    subset_cells = t.order * t._coef.size if t.order > 2 else 0
     if size == 3 and t.order > 2:
         # three charts per 3-index row: a slice scan, the Sylvester
         # coefficients before and after the rotation, and the complex
         # (two cells a number) companion matrix of size ns D
         ns, D = _sylvester_shape(sph)
         per_subset = _generic_count(sph, 3)
-        subset_cells = 3 * (t.order * t._coef.size + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
+        subset_cells += 3 * (t.order * t._coef.size + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
     step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
     chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
-    exhaustive = True
-    for lo in range(0, subsets.shape[0], step):
-        S, W, L, chunk_exhaustive, polish = _closed_form(t, sph, subsets[lo : lo + step], cfg)
-        exhaustive &= bool(chunk_exhaustive.all())
-        chunks.append(_finalize(t, sph, S, W, L, cfg, polish))
-    return tuple(np.concatenate(arrays) for arrays in zip(*chunks)), exhaustive
+    exhaustive, multistart = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
+    for lo in range(0, N, step):
+        chunk = subsets[lo : lo + step]
+        R, W, L, polish, exhaustive[lo : lo + step], multistart[lo : lo + step] = _closed_form(t, sph, chunk, cfg)
+        keep = ~multistart[lo + R]
+        chunks.append(_finalize(t, sph, chunk[R[keep]], W[keep], L[keep], cfg, polish[keep]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*chunks)), exhaustive, multistart
 
 
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
     """True when solve_interior returns every interior pair, not a heuristic subset.
 
-    Mirrors its dispatch: dimension 1, 2 or 3, order 2 and diagonal
-    tensors are solved exactly.  Where the interior pairs may form a
-    positive-dimensional family, the solver reports at most one
-    representative, so the claim is withdrawn: a matrix with a repeated
-    eigenvalue (two eigenvalues closer than the solver tolerance, relative
-    to the largest), whose eigenspace gets one basis vector per copy; a
-    dimension-2 tensor whose reduced polynomial vanishes identically (this
-    includes equal diagonal entries for H and the zero tensor); a diagonal
-    tensor with all entries equal on the m-norm sphere (H), or all entries
-    zero on any sphere.  A dimension-2 tensor also withdraws it when two
-    positive roots of its polynomial lie within sqrt(tol) of each other, as
-    a near-double root does: whether such a pair is real is decided by
-    rounding.  A dimension-3 tensor that is not diagonal withdraws it (and
-    is solved by multistart as well) when its resultant vanishes
-    identically or the leading coefficient of a chart is singular, when
-    the complex roots kept across the three charts are not the generic
-    count, when a root's Sylvester null space is not one-dimensional, or
-    when two positive roots of a chart lie within sqrt(tol); see
-    `_three_index`.
+    Reads the flag of `_closed_form` on the whole index set, which runs no
+    multistart: a tensor that it marks for multistart is not exhaustive,
+    and the exact routes withdraw the claim where the interior pairs may
+    form a positive-dimensional family (the solver reports at most one
+    representative) or where a near-double root or a short root count
+    leaves the output to rounding; see `_closed_form` and its routes.
     """
-    if not _has_closed_form(t):
-        return False
     cfg = config if config is not None else SolverConfig()
-    return bool(_closed_form(t, Sphere(kind, t.order), np.arange(t.dim)[None, :], cfg)[3][0])
+    return bool(_closed_form(t, Sphere(kind, t.order), np.arange(t.dim)[None, :], cfg)[4][0])
 
 
 def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, C: np.ndarray | None = None) -> np.ndarray:
@@ -295,10 +291,6 @@ def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.nda
 # -- closed-form routes -------------------------------------------------------
 
 
-def _has_closed_form(t: Tensor) -> bool:
-    return t.dim <= 3 or t.order == 2 or t.is_diagonal()
-
-
 def _matrix(t: Tensor) -> np.ndarray:
     """Dense form of an order-2 tensor."""
     M = np.zeros((t.dim, t.dim))
@@ -307,36 +299,48 @@ def _matrix(t: Tensor) -> np.ndarray:
     return M
 
 
+def _off_diagonal(t: Tensor, subsets: np.ndarray) -> np.ndarray:
+    """Per row of `subsets`, whether an off-diagonal slice of t has all its indices in the row.
+
+    The rows without one give diagonal principal sub-tensors.  One scan of
+    order x slices cells per row.
+    """
+    off = (t._trail != t._lead[:, None]).any(axis=1)
+    indices = np.concatenate([t._lead[off, None], t._trail[off]], axis=1)
+    member = np.zeros((subsets.shape[0], t.dim), dtype=bool)
+    member[np.arange(subsets.shape[0])[:, None], subsets] = True
+    return member[:, indices].all(axis=2).any(axis=1)
+
+
 def _closed_form(
     t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates (S, W, L) of the principal sub-tensors on the rows of `subsets`,
-    per row of `subsets` whether its sub-problem is solved exhaustively, and
-    per candidate whether it still needs `_polish`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The route table: exact candidates of the principal sub-tensors on the rows of `subsets`.
 
-    All rows have one size c and take one route:
+    Returns (R, W, L, polish, exhaustive, multistart): per candidate its row
+    R in `subsets`, its vector and value and whether it still needs
+    `_polish`; per row whether its sub-problem is solved exhaustively and
+    whether it needs multistart, which is left to the caller.  All rows
+    have one size c and are routed so:
       * c = 1: the value a_{i...i} with w = (1).
-      * c = 2, order >= 3: the roots of one polynomial (`_two_index`).
-      * c = 3, order >= 3: `_three_index`, which hands a diagonal row on
-        to `_diagonal`.
       * order 2: eigendecomposition of the stacked principal sub-matrices;
         the H and Z systems coincide.  Eigenvectors are signed to a positive
         largest entry, and complex or non-positive ones are dropped.  The
         claim is withdrawn when two eigenvalues lie within the tolerance.
-      * diagonal, order >= 3, c >= 4: `_diagonal`.
+      * order >= 3: `_off_diagonal` splits the rows.  Diagonal rows take
+        `_diagonal`.  The others take `_two_index` at c = 2 and
+        `_three_index` at c = 3, whose uncertified rows are marked for
+        multistart with their exact candidates still returned; at c >= 4
+        they are marked for multistart and get no candidate.
     The singleton, matrix and diagonal candidates are exact up to rounding
     and skip the polish; the 2- and 3-index ones come from companion
-    eigenvalues (or multistart) and take it.
+    eigenvalues and take it.  A row marked for multistart is not exhaustive.
     """
     N, c = subsets.shape
+    exhaustive, multistart = np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
     if c == 1:
-        d = t.diagonal_entries()[subsets]
-        return subsets, np.ones((N, 1)), d[:, 0], np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
-    if c == 2 and t.order > 2:
-        S, W, L, exhaustive = _two_index(t, sph, subsets, cfg)
-        return S, W, L, exhaustive, np.ones(L.size, dtype=bool)
-    if c == 3 and t.order > 2:
-        return _three_index(t, sph, subsets, cfg)
+        d = t.diagonal_entries()[subsets[:, 0]]
+        return np.arange(N), np.ones((N, 1)), d, np.zeros(N, dtype=bool), exhaustive, multistart
     if t.order == 2:
         M = _matrix(t)[subsets[:, :, None], subsets[:, None, :]]
         if t.symmetric:
@@ -352,13 +356,25 @@ def _closed_form(
         lead = np.take_along_axis(V, np.abs(V).argmax(axis=2)[:, :, None], axis=2)
         V = np.where(lead < 0, -V, V)
         rows, k = np.nonzero(real & (V.min(axis=2) > POS_TOL))
-        return subsets[rows], V[rows, k], ev.real[rows, k], exhaustive, np.zeros(rows.size, dtype=bool)
-    return _diagonal(t, sph, subsets)
+        return rows, V[rows, k], ev.real[rows, k], np.zeros(rows.size, dtype=bool), exhaustive, multistart
+    off = _off_diagonal(t, subsets)
+    diagonal, rest = np.flatnonzero(~off), np.flatnonzero(off)
+    parts = [(rest[:0], np.empty((0, c)), np.empty(0), np.empty(0, dtype=bool))]
+    if diagonal.size:
+        R, W, L, exhaustive[diagonal] = _diagonal(t, sph, subsets[diagonal])
+        parts.append((diagonal[R], W, L, np.zeros(R.size, dtype=bool)))
+    if c > 3:
+        exhaustive[rest], multistart[rest] = False, True
+    elif rest.size:
+        R, W, L, exhaustive[rest] = (_two_index if c == 2 else _three_index)(t, sph, subsets[rest], cfg)
+        parts.append((rest[R], W, L, np.ones(R.size, dtype=bool)))
+        if c == 3:
+            multistart[rest] = ~exhaustive[rest]
+    R, W, L, polish = (np.concatenate(arrays) for arrays in zip(*parts))
+    return R, W, L, polish, exhaustive, multistart
 
 
-def _diagonal(
-    t: Tensor, sph: Sphere, subsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _diagonal(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The `_closed_form` route for diagonal principal sub-tensors of order m >= 3.
 
     On a strictly positive vector the i-th eigen row reads
@@ -368,7 +384,7 @@ def _diagonal(
     solvable exactly when the entries share a strict sign, with w_i
     proportional to |d_i|^(-1/(m-2)); when all entries are zero every vector
     pairs with 0.  A family is reported by one representative and withdraws
-    the claim.
+    the claim.  Returns (R, W, L, exhaustive) as `_two_index` does.
     """
     N, c = subsets.shape
     m = t.order
@@ -383,7 +399,7 @@ def _diagonal(
         u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
         W = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
         L, exhaustive = d[rows, 0] * W[:, 0] ** (m - 2), ~zero
-    return subsets[rows], W, L, exhaustive, np.zeros(rows.size, dtype=bool)
+    return rows, W, L, exhaustive
 
 
 def _two_index(
@@ -398,15 +414,15 @@ def _two_index(
     pairs.  Slice r feeds p_a when its lead is a and its trailing indices lie
     in {i, j}, at the power of s that counts the j's among them.  Exact-zero
     end coefficients are roots at w = (1, 0) or (0, 1), off the interior, so
-    they are divided out.  What is left of a binomial, such as the
-    polynomial of every diagonal sub-tensor, has its one positive root in
-    closed form.  The other polynomials take one companion-matrix eigensolve
-    per degree, and a root is kept when its real part is positive and its
-    imaginary part is within sqrt(tol) of its modulus: a double root comes
-    back split by about the square root of the rounding, as a real or a
-    complex pair.  The claim is withdrawn when two kept roots lie within
+    they are divided out.  What is left takes one companion-matrix
+    eigensolve per degree, and a root is kept when its real part is positive
+    and its imaginary part is within sqrt(tol) of its modulus: a double root
+    comes back split by about the square root of the rounding, as a real or
+    a complex pair.  The claim is withdrawn when two kept roots lie within
     sqrt(tol) in angle arctan(s) (a conjugate pair always does), and when
     the polynomial vanishes, a family of pairs reported by w = (1, 1).
+    Returns (R, W, L, exhaustive): per candidate its row R in `subsets`,
+    its vector and value, and per row whether its sub-problem is exhaustive.
     """
     N, m = subsets.shape[0], t.order
     i, j = subsets[:, :1], subsets[:, 1:]
@@ -424,14 +440,8 @@ def _two_index(
     lo = nonzero.argmax(axis=1)
     hi = q.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
     deg = np.where(family, 0, hi - lo)
-    # c_lo + c_hi s^deg (every diagonal sub-tensor's polynomial) has at most
-    # one positive root, and its other roots lie 2 pi / deg or more off the axis
-    two = np.flatnonzero(nonzero.sum(axis=1) == 2)
-    deg[two] = 0
-    ratio = -q[two, lo[two]] / q[two, hi[two]]
-    two, ratio = two[ratio > 0], ratio[ratio > 0]
     sep = np.sqrt(cfg.tol)
-    owner, roots = [np.flatnonzero(family), two], [np.ones(family.sum()), ratio ** (1.0 / (hi - lo)[two])]
+    owner, roots = [np.flatnonzero(family)], [np.ones(family.sum())]
     for dd in np.unique(deg[deg > 0]):
         g = np.flatnonzero(deg == dd)
         coef = np.take_along_axis(q[g], lo[g, None] + np.arange(dd + 1), axis=1)
@@ -454,7 +464,7 @@ def _two_index(
     for k in reversed(range(m)):  # Horner
         p_i = p_i * s + P[owner, 0, k]
     L = p_i / sph.rhs(W)[:, 0]
-    return subsets[owner], W, L, ~(family | close)
+    return owner, W, L, ~(family | close)
 
 
 def _generic_count(sph: Sphere, c: int) -> int:
@@ -474,12 +484,11 @@ def _sylvester_shape(sph: Sphere) -> tuple[int, int]:
     return D + m - 1, D
 
 
-def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dense, P, syl): the chart polynomials and Sylvester matrices of `_three_index`.
+def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, syl): the chart polynomials and Sylvester matrices of `_three_index`.
 
-    dense marks the rows of `subsets` whose sub-tensor is not diagonal; the
-    other arrays hold three charts of each of those rows, batch row b being
-    chart b // N of dense row b % N.  P[b, a, i, j] is the coefficient of
+    Both hold three charts of each row of `subsets`, batch row b being
+    chart b // N of row b % N.  P[b, a, i, j] is the coefficient of
     s^i t^j in the eigen row p_a, a = 0, 1, 2 for the chart's (p, q, r), and
     syl[b, row, col, e] the coefficient of t^e in the Sylvester matrix of f
     and g in s: rows s^k f (k < m-1), then s^k g (k < D); column col for
@@ -488,12 +497,10 @@ def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray,
     m = t.order
     lead_at = t._lead[:, None] == subsets[:, None, :]  # (N, K, 3)
     trail_at = t._trail[:, :, None] == subsets[:, None, None, :]  # (N, K, m-1, 3)
-    inside = lead_at.any(axis=2) & trail_at.any(axis=3).all(axis=2)
-    dense = (inside & (t._trail != t._lead[:, None]).any(axis=1)).any(axis=1)
-    N = int(dense.sum())
-    n, r = np.nonzero(inside[dense])
-    local = lead_at[dense][n, r].argmax(axis=1)
-    power = trail_at[dense][n, r].sum(axis=1)  # (R, 3): how often each local index trails
+    N = subsets.shape[0]
+    n, r = np.nonzero(lead_at.any(axis=2) & trail_at.any(axis=3).all(axis=2))
+    local = lead_at[n, r].argmax(axis=1)
+    power = trail_at[n, r].sum(axis=1)  # (R, 3): how often each local index trails
     P = np.zeros((3, N, 3, m, m))
     for c, (_, q, rr) in enumerate(_CHARTS):
         P[c, n, np.argsort(_CHARTS[c])[local], power[:, q], power[:, rr]] = t._coef[r]
@@ -511,7 +518,7 @@ def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray,
         syl[:, k, k : k + D + 1] = f
     for k in range(D):
         syl[:, m - 1 + k, k : k + m] = g
-    return dense, P, syl
+    return P, syl
 
 
 def _hidden_roots(syl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -564,13 +571,13 @@ def _null_roots(syl: np.ndarray, b: np.ndarray, tr: np.ndarray) -> tuple[np.ndar
 
 def _three_index(
     t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The `_closed_form` route for 3-index subsets of an order m >= 3 tensor.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The `_closed_form` route for non-diagonal 3-index subsets of an order m >= 3 tensor.
 
-    A row whose sub-tensor is diagonal takes `_diagonal`.  The others are
-    solved in three charts, one per pivot index p with the other two q < r:
-    on w = (1, s, t) (w_p, w_q, w_r) the eigen rows p_a(s, t) = (A w^{m-1})_a
-    match value * rhs_a(w), and eliminating the value leaves
+    Each row is solved in three charts, one per pivot index p with the
+    other two q < r: on w = (1, s, t) (w_p, w_q, w_r) the eigen rows
+    p_a(s, t) = (A w^{m-1})_a match value * rhs_a(w), and eliminating the
+    value leaves
     f = p_q - s^{m-1} p_p and g = p_r - t^{m-1} p_p (H), or f = p_q - s p_p
     and g = p_r - t p_p (Z).  Slices feed the p_a as in `_two_index`.  The
     Sylvester matrix of f and g in s, of size ns = deg f + deg g, is a
@@ -584,25 +591,16 @@ def _three_index(
     pivot stays under it by the margin, so a tie goes to the lower index.
     The kept roots of the three charts are the complex eigenvectors, each
     once, and the real positive ones are the candidates, polished like
-    those of `_two_index`.  The claim is withdrawn, and the row is also
-    solved by multistart on its sub-tensor, the candidates of both merging
-    in `_finalize`, when a chart's leading coefficient is singular (as when
-    the resultant vanishes identically), when the count of kept roots is
-    not the generic one (`_generic_count`: a root was lost, or is
-    multiple), when a kept root's Sylvester null space is not
+    those of `_two_index`.  The claim is withdrawn, and `_closed_form`
+    marks the row for multistart, when a chart's leading coefficient is
+    singular (as when the resultant vanishes identically), when the count
+    of kept roots is not the generic one (`_generic_count`: a root was
+    lost, or is multiple), when a kept root's Sylvester null space is not
     one-dimensional, or when two candidates of a chart lie within sqrt(tol)
-    in angle arctan(t).
+    in angle arctan(t).  Returns (R, W, L, exhaustive) as `_two_index` does.
     """
-    m = t.order
-    dense, P, syl = _sylvester(t, sph, subsets)
-    diagonal = _diagonal(t, sph, subsets[~dense])
-    exhaustive = np.ones(subsets.shape[0], dtype=bool)
-    exhaustive[~dense] = diagonal[3]
-    sub = subsets[dense]
-    N = sub.shape[0]
-    if N == 0:
-        return diagonal[:3] + (exhaustive, diagonal[4])
-
+    m, N = t.order, subsets.shape[0]
+    P, syl = _sylvester(t, sph, subsets)
     t_all, singular = _hidden_roots(syl)
     b, k = np.nonzero(np.abs(t_all) <= 1.0 + _PIVOT_MARGIN)
     tr = t_all[b, k]
@@ -629,14 +627,7 @@ def _three_index(
     L = p_p / sph.rhs(Wc)[:, 0]
     W = np.empty_like(Wc)
     np.put_along_axis(W, _CHARTS[chart], Wc, axis=1)
-
-    exhaustive[dense] = ok
-    parts = [diagonal[:3] + diagonal[4:], (sub[owner], W, L, np.ones(L.size, dtype=bool))]
-    for row in sub[~ok]:
-        NL, NW = _newton_candidates(t.principal_subtensor(row), sph, cfg)
-        parts.append((np.broadcast_to(row, NW.shape), NW, NL, np.ones(NL.size, dtype=bool)))
-    S, W, L, polish = (np.concatenate(arrays) for arrays in zip(*parts))
-    return S, W, L, exhaustive, polish
+    return owner, W, L, ok
 
 
 # -- multistart Newton --------------------------------------------------------
@@ -776,20 +767,20 @@ def _finalize(
     W: np.ndarray,
     L: np.ndarray,
     cfg: SolverConfig,
-    polish: np.ndarray | None = None,
+    polish: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Positivity filter, exact renormalization, polish, residual test, dedup, stable order.
 
     Candidate r is (L[r], W[r]) on the support S[r].  Only the rows marked
-    in `polish` (by default all) take `_polish`; the others are exact up to
-    rounding already.  Returns the rows that pass and survive `_keep_first`
+    in `polish` take `_polish`; the others are exact up to rounding
+    already.  Returns the rows that pass and survive `_keep_first`
     as (S, W, L, residual, C), C being t's contraction at the zero-filled
     vectors, sorted by support, then value, then vector.
     """
     c = S.shape[1]
     interior = W.min(axis=1) > POS_TOL
     S, W, L = S[interior], W[interior], L[interior]
-    polish = np.arange(L.size) if polish is None else np.flatnonzero(polish[interior])
+    polish = np.flatnonzero(polish[interior])
     if W.shape[0] == 0:
         return S, W, L, np.empty(0), np.empty((0, t.dim))
     W = sph.normalize(W)

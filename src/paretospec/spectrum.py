@@ -12,17 +12,16 @@ components of A y^{m-1} are nonnegative.  Enumerating all nonempty subsets
 N of the index set therefore produces the complete spectrum, up to the
 completeness of the per-subset interior solver.
 
-Subsets are enumerated by cardinality.  The sub-problems of one cardinality
-that have an exact route (one to three indices, order 2, or a diagonal
-sub-tensor, which bitmasks of the parent's off-diagonal slices detect) are
-solved as one batch on the parent tensor; only the others, solved by
-multistart Newton, build a principal sub-tensor (as does a 3-index one that
-the exact route cannot certify, which runs multistart too).  Both give
-arrays of supports, vectors, values, residuals and A y^{m-1} at the
-zero-filled vectors y, whose off-support entries are the complement slacks.
-One mask admits rows, and only admitted rows become certificates.  A tensor
-of dimension 3 or less is solved exactly, up to the withdrawals of
-`solved_exhaustively`.
+Subsets are enumerated by cardinality.  All sub-problems of one cardinality
+go to `solve_closed_forms`, whose route table (`eigen._closed_form`) solves
+the ones with an exact route (one to three indices, order 2, or a diagonal
+sub-tensor) as one batch on the parent tensor and marks the others for
+multistart; only those build a principal sub-tensor, solved by
+`solve_interior`.  Both give arrays of supports, vectors, values, residuals
+and A y^{m-1} at the zero-filled vectors y, whose off-support entries are
+the complement slacks.  One mask admits rows, and only admitted rows become
+certificates.  A tensor of dimension 3 or less is solved exactly, up to the
+withdrawals of `solved_exhaustively`.
 """
 
 from __future__ import annotations
@@ -107,10 +106,8 @@ def pareto_spectrum(
 
     Duplicate pairs reachable from several subsets keep the certificate of
     the smallest (then lexicographically first) subset.  The `complete` flag
-    is True only when every sub-problem was solved by an exhaustive method
-    (see `solved_exhaustively`: dimension 1, 2 or 3, order 2, or diagonal,
-    without a positive-dimensional family, a near-double root or, for 3
-    indices, a short root count); any multistart sub-solve withdraws the
+    is True only when the route table marks every sub-problem exhaustive
+    (see `solved_exhaustively`); any multistart sub-solve withdraws the
     claim.
     """
     Sphere(kind, t.order)  # rejects an unknown kind before any subset is solved
@@ -122,19 +119,14 @@ def pareto_spectrum(
             f"2^{t.dim} principal sub-tensors"
         )
     cfg = config if config is not None else SolverConfig()
-    diagonal = t.diagonal_subsets() if t.order > 2 else None
     items: list[SubsetCertificate] = []
     complete = True
     for card in range(1, t.dim + 1):
         subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
-        closed = np.ones(len(subsets), dtype=bool)
-        if card > 3 and diagonal is not None:
-            closed = diagonal[np.left_shift(1, subsets).sum(axis=1)]
-        (S, W, L, res, C), exhaustive = solve_closed_forms(t, kind, subsets[closed], cfg)
-        complete &= exhaustive
-        newton = subsets[~closed]
+        (S, W, L, res, C), exhaustive, multistart = solve_closed_forms(t, kind, subsets, cfg)
+        complete &= bool(exhaustive.all())
+        newton = subsets[multistart]
         if newton.size:
-            complete = False  # multistart Newton carries no completeness claim
             found = [(s, pair) for s in newton for pair in solve_interior(t.principal_subtensor(s), kind, cfg)]
             NS = np.array([s for s, _ in found], dtype=np.intp).reshape(-1, card)
             NW = np.array([pair.vector for _, pair in found]).reshape(-1, card)

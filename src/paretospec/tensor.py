@@ -76,8 +76,8 @@ class Tensor:
     symmetric: bool = False
 
     # Evaluation tables derived from slices in __post_init__.  _lead, _trail
-    # and _coef list the slices in key order, for the structural code that
-    # reads slices one by one (diagonal_subsets, eigen._two_index).  The
+    # and _coef list the slices in key order, for the slice scans of the
+    # exact routes (eigen._off_diagonal, _two_index and _sylvester).  The
     # kernels read monomial tables instead: row r of _mono holds the sorted
     # indices of a distinct trailing monomial of degree m-1, and _P[r, i] is
     # the coefficient of that monomial in component i, so A x^{m-1} is
@@ -238,22 +238,6 @@ class Tensor:
             if lead in members and all(j in members for j in trail):
                 new_slices[(pos[lead], tuple(pos[j] for j in trail))] = v
         return Tensor(self.order, len(sub), new_slices, symmetric=self.symmetric)
-
-    def diagonal_subsets(self) -> np.ndarray:
-        """Which principal sub-tensors are diagonal, indexed by subset bitmask.
-
-        Entry s, 0 <= s < 2^dim, is True when no off-diagonal slice has all
-        its indices among the set bits of s.
-        """
-        n = self.dim
-        off = (self._trail != self._lead[:, None]).any(axis=1)
-        indices = np.concatenate([self._lead[off, None], self._trail[off]], axis=1)
-        covered = np.zeros(1 << n, dtype=bool)
-        covered[np.bitwise_or.reduce(np.left_shift(1, indices), axis=1)] = True
-        masks = np.arange(1 << n)
-        for b in range(n):
-            covered |= covered[masks & ~(1 << b)]  # supersets of covered sets are covered
-        return ~covered
 
     def is_diagonal(self) -> bool:
         return all(trail == (lead,) * (self.order - 1) for lead, trail in self.slices)

@@ -7,6 +7,7 @@ here with numpy.roots).
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from paretospec.eigen import (
     _keep_first,
     _newton_candidates,
     _null_roots,
+    _off_diagonal,
     _sylvester,
     _sylvester_shape,
     _system_eval,
@@ -279,7 +281,9 @@ def test_two_index_route_matches_newton_and_roots_oracle(order):
             assert_pairs_match(exact, two_index_oracle(a, kind))
             sph = Sphere(kind, order)
             L, W = _newton_candidates(t, sph, FAST)
-            _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(2), W.shape), W, L, FAST)
+            _, W, L, _, _ = _finalize(
+                t, sph, np.broadcast_to(np.arange(2), W.shape), W, L, FAST, np.ones(L.size, dtype=bool)
+            )
             assert_pairs_match([EigenPair(v, w, kind, 0.0) for v, w in zip(L, W)], two_index_oracle(a, kind))
 
 
@@ -330,6 +334,21 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_off_diagonal_scan_matches_principal_subtensors(order):
+    # oracle: the route table's slice scan against each sub-tensor's own check
+    rng = np.random.default_rng(60 + order)
+    for dim in (2, 3, 4, 5):
+        for count in (1, 2, 4, 8):
+            entries = random_entries(rng, order, dim, count)
+            entries += [((i,) * order, 1.0) for i in range(dim)]
+            t = build(order, dim, entries, symmetrize=bool(rng.integers(2)))
+            for card in range(1, dim + 1):
+                subsets = np.array(list(itertools.combinations(range(dim), card)), dtype=np.intp)
+                want = [not t.principal_subtensor(row).is_diagonal() for row in subsets]
+                assert _off_diagonal(t, subsets).tolist() == want, (t.slices, card)
+
+
 # -- exact 3-index route -------------------------------------------------------
 
 
@@ -353,8 +372,7 @@ def test_three_index_chart_finds_the_generic_root_count(kind, order):
     """
     t = random_symmetric_tensor(np.random.default_rng(1), order, 3)
     sph = Sphere(kind, order)
-    dense, _, syl = _sylvester(t, sph, np.array([[0, 1, 2]]))
-    assert dense.tolist() == [True]
+    _, syl = _sylvester(t, sph, np.array([[0, 1, 2]]))
     roots, singular = _hidden_roots(syl)
     assert not singular.any()
     ns, D = _sylvester_shape(sph)
@@ -387,7 +405,9 @@ def test_three_index_route_is_exhaustive_and_finds_the_multistart_pairs(order):
             exact = solve_interior(t, kind)
             sph = Sphere(kind, order)
             L, W = _newton_candidates(t, sph, SolverConfig(starts=3000, seed=5))
-            _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, FAST)
+            _, W, L, _, _ = _finalize(
+                t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, FAST, np.ones(L.size, dtype=bool)
+            )
             for value, vector in zip(L, W):
                 assert any(abs(p.value - value) <= 1e-9 and np.abs(p.vector - vector).max() <= 1e-7 for p in exact)
             for p in exact:
@@ -405,11 +425,25 @@ def test_three_index_family_falls_back_to_multistart(monkeypatch):
     monkeypatch.setattr(eigen_mod, "_newton_candidates", lambda *a: calls.append(a) or newton(*a))
     assert solved_exhaustively(t, "Z") is False
     pairs = solve_interior(t, "Z", FAST)
-    assert len(calls) == 2
+    assert len(calls) == 1  # the solve only: the flag is read off the route table
     assert len(pairs) > 1
     for p in pairs:
         assert p.value == pytest.approx(1.0, abs=1e-10)
         assert residual(t, p) <= FAST.tol
+
+
+def test_solved_exhaustively_runs_no_multistart(monkeypatch):
+    # an uncertified 3-index tensor and a dense dimension-4 one both need
+    # multistart to be solved, but not to tell that they are not exhaustive
+    def fail(*args):
+        raise AssertionError("solved_exhaustively ran multistart")
+
+    monkeypatch.setattr(eigen_mod, "_newton_candidates", fail)
+    family = build(4, 3, [((i, i, j, j), 1.0) for i in range(3) for j in range(3)], symmetrize=True)
+    assert solved_exhaustively(family, "Z") is False
+    dense = random_symmetric_tensor(np.random.default_rng(8), 3, 4)
+    for kind in ("H", "Z"):
+        assert solved_exhaustively(dense, kind) is False
 
 
 def _halving_ladder(members, last_rung, trial, out):

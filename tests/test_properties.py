@@ -236,7 +236,9 @@ def test_exhaustive_three_index_route_keeps_every_multistart_pair(t, kind):
     exact = solve_interior(t, kind)
     sph, cfg = Sphere(kind, t.order), SolverConfig(starts=400, seed=3)
     L, W = _newton_candidates(t, sph, cfg)
-    _, W, L, _, _ = _finalize(t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, cfg)
+    _, W, L, _, _ = _finalize(
+        t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, cfg, np.ones(L.size, dtype=bool)
+    )
     for value, vector in zip(L, W):
         assume(vector.min() > 1e-6)  # near the positivity filter either side may drop it
         assert any(

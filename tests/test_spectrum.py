@@ -184,16 +184,29 @@ def test_uniform_diagonal_has_a_certificate_per_subset():
 
 
 def test_diagonal_three_subsets_keep_their_closed_form(monkeypatch):
-    # all 3-subsets of a diagonal tensor are diagonal: no chart and no multistart
+    # every subset of a diagonal tensor is diagonal, whatever its size: no
+    # polynomial, no chart and no multistart
     def fail(*args):
-        raise AssertionError("a diagonal sub-problem reached an iterative route")
+        raise AssertionError("a diagonal sub-problem left the diagonal closed form")
 
     monkeypatch.setattr(eigen_mod, "_newton_candidates", fail)
     monkeypatch.setattr(eigen_mod, "_hidden_roots", fail)
+    monkeypatch.setattr(eigen_mod, "_two_index", fail)
     t = build(3, 3, [((i, i, i), 2.0) for i in range(3)])
     spec = pareto_spectrum(t, "H")
     assert len(spec.items) == 7
     assert spec.complete is False  # equal entries: every subset holds an H family
+
+    # Z-pairs of a diagonal order-4 tensor live on the same-sign subsets, with
+    # w_i^2 proportional to 1 / |d_i| and value 1 / sum_i (1 / d_i)
+    d = [1.0, 2.0, -1.0, -3.0]
+    spec = pareto_spectrum(build(4, 4, [((i,) * 4, d[i]) for i in range(4)]), "Z")
+    want = {(0,): 1.0, (1,): 2.0, (2,): -1.0, (3,): -3.0, (0, 1): 2.0 / 3.0, (2, 3): -0.75}
+    assert {c.subset: c.value for c in spec.items} == pytest.approx(want, abs=1e-14)
+    for c in spec.items:
+        w = np.sqrt(1.0 / np.abs(np.array(d)[list(c.subset)]))
+        np.testing.assert_allclose(c.pair.vector, w / np.linalg.norm(w), rtol=0, atol=1e-15)
+    assert spec.complete is True
 
 
 def test_diagonal_spectrum_is_complete():
@@ -325,11 +338,12 @@ def test_min_pareto_empty_spectrum_error(monkeypatch):
     t, _ = fixtures.shifted_cubic()
     import paretospec.spectrum as spectrum_mod
 
-    # closed-form sub-problems (here the singletons) are solved in batches,
-    # the others one by one; neither route finds anything
+    # closed-form sub-problems are solved in batches, the ones marked for
+    # multistart (here the pair) one by one; neither route finds anything
     def nothing(t, kind, subsets, config=None):
-        c = subsets.shape[1]
-        return (subsets[:0], np.empty((0, c)), np.empty(0), np.empty(0), np.empty((0, t.dim))), True
+        N, c = subsets.shape
+        empty = (subsets[:0], np.empty((0, c)), np.empty(0), np.empty(0), np.empty((0, t.dim)))
+        return empty, np.full(N, c != 2), np.full(N, c == 2)
 
     monkeypatch.setattr(spectrum_mod, "solve_closed_forms", nothing)
     monkeypatch.setattr(spectrum_mod, "solve_interior", lambda *a, **k: [])
@@ -455,7 +469,9 @@ def _multistart_pairs(t, kind):
     """Multistart Newton on the whole index set, which spectra solve exactly up to dimension 3."""
     sph, cfg = Sphere(kind, t.order), SolverConfig()
     L, W = eigen_mod._newton_candidates(t, sph, cfg)
-    return eigen_mod._finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg)[1:3]
+    return eigen_mod._finalize(
+        t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg, np.ones(L.size, dtype=bool)
+    )[1:3]
 
 
 def test_newton_ladder_cut_at_stagnation_rung_keeps_every_pair(monkeypatch):
