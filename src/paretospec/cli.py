@@ -13,6 +13,7 @@ malformed input, 3 for internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,7 +24,7 @@ import numpy as np
 from .copositivity import DEFAULT_ZERO_BAND, classify
 from .eigen import SolverConfig
 from .fixtures import EXAMPLES
-from .minimize import grid_lower_bound, minimize
+from .minimize import check_grid, grid_lower_bound, minimize
 from .spectrum import (
     DEFAULT_SLACK_TOL,
     EmptySpectrumError,
@@ -99,6 +100,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
 def _cmd_minimize(args: argparse.Namespace) -> tuple[dict, dict, int]:
     t, info = _load(args)
+    if args.resolution is not None:
+        check_grid(t.dim, args.resolution)  # before any minimization runs
     cfg = _solver_config(args)
     results = {}
     for kind in _KINDS[args.kind]:
@@ -315,7 +318,9 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(_text_lines(report, 0))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse_args call returns a fresh namespace."""
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--format", choices=("json", "text"), default="text",
                      help="report format (default text)")

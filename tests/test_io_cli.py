@@ -211,6 +211,39 @@ def test_cli_minimize_with_grid_crosscheck(capsys, cubic_file):
     assert report["config"]["resolution"] == 32
 
 
+def test_cli_shared_parser_keeps_each_runs_options(capsys, cubic_file):
+    # the parser is built once per process; the second run must not see the first's options
+    code, first = run_json(capsys, "minimize", cubic_file, "--seed", "3", "--starts", "50", "--resolution", "16")
+    assert code == 0
+    code, second = run_json(capsys, "minimize", cubic_file)
+    assert code == 0
+    assert first["config"] == {"kind": "both", "seed": 3, "starts": 50, "tol": 1e-10, "resolution": 16}
+    assert second["config"] == {"kind": "both", "seed": 0, "starts": None, "tol": 1e-10, "resolution": None}
+    assert first["results"]["h"]["starts_used"] == 50
+    assert second["results"]["h"]["starts_used"] == 400
+    assert "grid_bound" not in second["results"]["h"]
+
+
+@pytest.mark.parametrize(
+    "order, dim, resolution, message",
+    [(3, 2, "7", "resolution must be"), (3, 5, "16", "dimension 4"), (3, 4, "400", "10,827,401 points")],
+)
+def test_cli_minimize_grid_guards_fail_before_minimizing(capsys, monkeypatch, tmp_path, order, dim, resolution, message):
+    import paretospec.cli as cli_mod
+    from paretospec.tensor import build
+
+    def never(*a, **k):
+        raise RuntimeError("minimize ran before the grid guards")
+
+    monkeypatch.setattr(cli_mod, "minimize", never)
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_document(tensor_to_document(build(order, dim, [((0,) * order, 1.0)]))))
+    code, out, err = run_cli(capsys, "minimize", str(path), "--resolution", resolution)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_cli_copositive_verdict(capsys, cubic_file):
     code, report = run_json(capsys, "copositive", cubic_file)
     assert code == 0

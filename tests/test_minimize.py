@@ -7,9 +7,9 @@ import pytest
 
 from paretospec import fixtures
 from paretospec.eigen import SolverConfig
-from paretospec.minimize import MinimizeResult, _simplex_grid, grid_lower_bound, kkt_residual, minimize
+from paretospec.minimize import MinimizeResult, _project, _simplex_grid, check_grid, grid_lower_bound, kkt_residual, minimize
 from paretospec.spectrum import min_pareto
-from paretospec.tensor import build, knorm
+from paretospec.tensor import Sphere, build, knorm
 
 from test_eigen import cubic_h_oracle, cubic_z_oracle
 
@@ -78,6 +78,32 @@ def test_minimizer_feasible_and_deterministic():
     np.testing.assert_array_equal(a.argmin, b.argmin)
     assert a.argmin.min() >= 0.0
     assert knorm(a.argmin, 3) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, order", [("H", 3), ("H", 4), ("Z", 3)])
+def test_projection_matches_sphere_normalize(kind, order):
+    # the column-by-column level sum is np.sum's order below 8 columns, and
+    # within a rounding per column above
+    sph = Sphere(kind, order)
+    rng = np.random.default_rng(order)
+    for dim in range(1, 11):
+        X = rng.normal(size=(300, dim))
+        X[0] = -1.0  # clamps to zero: no projection
+        with np.errstate(invalid="ignore"):
+            got, want = _project(X, sph), sph.normalize(np.maximum(X[1:], 0.0))
+        assert np.isnan(got[0]).all()
+        if dim < 8:
+            np.testing.assert_array_equal(got[1:], want)
+        else:
+            np.testing.assert_allclose(got[1:], want, rtol=dim * np.finfo(float).eps, atol=0)
+
+
+def test_exact_ties_go_to_the_lexicographically_smallest_argmin():
+    # both vertices reach -1 exactly; (value, x_1, ..., x_n) order picks (0, 1)
+    t = build(3, 2, [((0, 0, 0), -1.0), ((1, 1, 1), -1.0)])
+    res = minimize(t, "Z")
+    assert res.value == -1.0
+    np.testing.assert_array_equal(res.argmin, [0.0, 1.0])
 
 
 def test_dim_one_minimize():
@@ -150,6 +176,15 @@ def test_grid_guards():
         grid_lower_bound(t, "H", resolution=7)
     with pytest.raises(ValueError):
         grid_lower_bound(t, "Q")
+
+
+def test_grid_point_guard_states_the_count():
+    # C(r + 3, 3) points in dimension 4: 9,962,680 at r = 389, 10,039,316 at r = 390
+    check_grid(4, 389)
+    with pytest.raises(ValueError, match="10,039,316 points"):
+        check_grid(4, 390)
+    with pytest.raises(ValueError, match="10,827,401 points"):
+        grid_lower_bound(build(3, 4, [((0, 0, 0), 1.0)]), "H", resolution=400)
 
 
 def _compositions_by_bars(dim, resolution):

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paretospec.eigen import POS_TOL, SolverConfig, _finalize, _newton_candidates, solve_interior, solved_exhaustively
+from paretospec.minimize import minimize
 from paretospec.spectrum import DEFAULT_SLACK_TOL, complement_slacks, pareto_spectrum, verify_pareto_pair
 from paretospec.tensor import Sphere, Tensor, build, knorm
 from paretospec.tensorio import parse_document, serialize_document, tensor_to_document
@@ -245,6 +246,24 @@ def test_exhaustive_three_index_route_keeps_every_multistart_pair(t, kind):
             abs(p.value - value) <= 1e-8 * max(1.0, abs(value)) and np.abs(p.vector - vector).max() <= 1e-6
             for p in exact
         ), (value, vector)
+
+
+@settings(max_examples=50, deadline=None)
+@given(entry_lists(orders=(3, 4), dims=(2, 3)), st.sampled_from(["H", "Z"]))
+def test_minimize_lands_on_the_smallest_pareto_value(drawn, kind):
+    # the paper's theorem: min of A x^m over {x >= 0, ||x||_k = 1} is the
+    # smallest Pareto eigenvalue of the matching kind
+    order, dim, entries = drawn
+    t = build(order, dim, entries, symmetrize=True)
+    res = minimize(t, kind)
+    x = res.argmin
+    assert x.min() >= 0.0
+    assert abs(knorm(x, Sphere(kind, order).k) - 1.0) <= 1e-12
+    assert abs(res.value - t.apply_full(x)) <= 1e-12 * (1.0 + abs(res.value))
+    spec = pareto_spectrum(t, kind)
+    if spec.complete:
+        assert abs(res.value - spec.min_value) <= 1e-6, (res.value, spec.min_value)
+        assert res.value >= spec.min_value - 1e-9
 
 
 @SETTINGS
