@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: spectrum, minimize, copositive, verify, example.  Every run
+Subcommands: spectrum, minimize, copositive, verify, example, each run by
+the handler its subparser names with set_defaults(run=...).  Every run
 prints one report (json or text) with a fixed key order: command, input,
 config, results, warnings, and a timing field unless --no-timing is given,
 so repeated runs with the same arguments produce byte-identical output.
+The copositive and verify results carry the fields of CopositivityVerdict
+and VerifyReport in declaration order.
 
 Exit codes: 0 for a successful run (a not_copositive verdict is still a
 success), 1 when a verify or example check fails, 2 for usage errors and
@@ -13,6 +16,7 @@ malformed input, 3 for internal failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -21,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .copositivity import DEFAULT_ZERO_BAND, classify
+from .copositivity import DEFAULT_ZERO_BAND, _classify_value, classify
 from .eigen import SolverConfig
 from .fixtures import EXAMPLES
 from .minimize import check_grid, grid_lower_bound, minimize
@@ -35,10 +39,9 @@ from .spectrum import (
     verify_pareto_pair,
 )
 from .tensor import Tensor
-from .tensorio import DocumentError, load_document
+from .tensorio import load_document
 
 _KINDS = {"h": ("H",), "z": ("Z",), "both": ("H", "Z")}
-_ROUTES = {"h": "H", "z": "Z", "both": "both"}
 _EXAMPLE_TOL = 1e-8
 _EXAMPLE_SLACK_TOL = 1e-10
 
@@ -49,6 +52,12 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 def _floats(x) -> list[float]:
     return [float(v) for v in np.asarray(x, dtype=np.float64)]
+
+
+def _fields(result) -> dict:
+    """A result dataclass's fields in declaration order, arrays as float lists."""
+    fields = dataclasses.asdict(result)
+    return {k: _floats(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()}
 
 
 def _tensor_info(t: Tensor, name: str | None) -> dict:
@@ -125,21 +134,12 @@ def _cmd_copositive(args: argparse.Namespace) -> tuple[dict, dict, int]:
     cfg = _solver_config(args)
     verdict = classify(
         t,
-        route=_ROUTES[args.kind],
+        route="both" if args.kind == "both" else args.kind.upper(),
         config=cfg,
         slack_tol=args.slack_tol,
         zero_band=args.zero_band,
     )
-    results = {
-        "classification": verdict.classification,
-        "route": verdict.route,
-        "min_eigenvalue": float(verdict.min_eigenvalue),
-        "certificate": _floats(verdict.certificate),
-        "margin": float(verdict.margin),
-        "zero_band": float(verdict.zero_band),
-        "notes": list(verdict.notes),
-    }
-    return info, results, 0
+    return info, _fields(verdict), 0
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -153,19 +153,8 @@ def _parse_vector(text: str) -> np.ndarray:
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     t, info = _load(args)
     y = _parse_vector(args.vector)
-    report = verify_pareto_pair(t, args.value, y, _KINDS[args.kind][0], tol=args.tol)
-    results = {
-        "kind": args.kind,
-        "value": float(args.value),
-        "vector": _floats(y),
-        "ok": bool(report.ok),
-        "failed_condition": report.failed_condition,
-        "worst_violation": float(report.worst_violation),
-        "nonneg_violation": float(report.nonneg_violation),
-        "value_violation": float(report.value_violation),
-        "slack_violation": float(report.slack_violation),
-        "slacks": _floats(report.slacks),
-    }
+    report = verify_pareto_pair(t, args.value, y, args.kind.upper(), tol=args.tol)
+    results = {"kind": args.kind, "value": float(args.value), "vector": _floats(y), **_fields(report)}
     return info, results, 0 if report.ok else 1
 
 
@@ -179,9 +168,11 @@ def _match_values(found: list[float], wanted: list[float], tol: float) -> bool:
     return all(abs(f - w) <= tol for f, w in zip(sorted(found), sorted(wanted)))
 
 
-def _vector_at(spec: ParetoSpectrum, value: float, tol: float) -> np.ndarray | None:
-    near = [cert for cert in spec.items if abs(cert.value - value) <= tol]
-    return min(near, key=lambda cert: abs(cert.value - value)).vector if near else None
+def _vector_matches(spec: ParetoSpectrum, value: float, want: list[float]) -> bool:
+    """Whether the pair nearest `value`, within _EXAMPLE_TOL, has the vector `want`."""
+    near = [cert for cert in spec.items if abs(cert.value - value) <= _EXAMPLE_TOL]
+    found = min(near, key=lambda cert: abs(cert.value - value), default=None)
+    return found is not None and bool(np.max(np.abs(found.vector - np.array(want))) <= _EXAMPLE_TOL)
 
 
 def _checks_grouped_quartic(t: Tensor, expected: dict, cfg: SolverConfig) -> list[dict]:
@@ -198,11 +189,8 @@ def _checks_grouped_quartic(t: Tensor, expected: dict, cfg: SolverConfig) -> lis
                 _match_values(got, wanted, _EXAMPLE_TOL),
             )
         )
-        vec_ok = True
-        for value, vec in expected[f"{kind.lower()}_vectors"].items():
-            found = _vector_at(spec, value, _EXAMPLE_TOL)
-            if found is None or np.max(np.abs(found - np.array(vec))) > _EXAMPLE_TOL:
-                vec_ok = False
+        vectors = expected[f"{kind.lower()}_vectors"].items()
+        vec_ok = all(_vector_matches(spec, value, vec) for value, vec in vectors)
         checks.append(
             _check(f"{kind.lower()}_vectors", "match", "match" if vec_ok else "mismatch", vec_ok)
         )
@@ -217,6 +205,8 @@ def _checks_shifted_cubic(t: Tensor, expected: dict, cfg: SolverConfig) -> list[
         got = spec.values()
         has = any(abs(v - present) <= _EXAMPLE_TOL for v in got)
         checks.append(_check(f"{kind.lower()}_contains_{present:g}", True, has, has))
+        vok = _vector_matches(spec, present, expected["present_vector"])
+        checks.append(_check(f"{kind.lower()}_vector_at_{present:g}", True, vok, vok))
         hasnt = all(abs(v - absent) > _EXAMPLE_TOL for v in got)
         checks.append(_check(f"{kind.lower()}_excludes_{absent:g}", True, hasnt, hasnt))
     sub = expected["rejected_subset"]
@@ -236,45 +226,31 @@ def _checks_parametric_quartic(t: Tensor, expected: dict, cfg: SolverConfig) -> 
         vok = bool(np.max(np.abs(vec - want)) <= 1e-6)
         checks.append(_check("interior_vector", _floats(want), _floats(vec), vok))
     verdict = classify(t, route="both", config=cfg)
-    if abs(expected["gamma"]) <= DEFAULT_ZERO_BAND:
-        want_cls = "copositive_boundary"
-    elif expected["gamma"] > 0:
-        want_cls = "strictly_copositive"
-    else:
-        want_cls = "not_copositive"
+    want_cls = _classify_value(expected["gamma"], DEFAULT_ZERO_BAND)
     cok = verdict.classification == want_cls
     checks.append(_check("classification", want_cls, verdict.classification, cok))
     return checks
+
+
+_EXAMPLE_CHECKS = {
+    "ex3.1": _checks_grouped_quartic,
+    "ex3.2": _checks_shifted_cubic,
+    "ex4.1": _checks_parametric_quartic,
+}
 
 
 def _cmd_example(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.t is not None and args.name != "ex4.1":
         raise ValueError("--t only applies to ex4.1")
     cfg = _solver_config(args)
-    if args.name == "ex4.1":
-        t, expected = EXAMPLES[args.name](0.0 if args.t is None else args.t)
-        checks = _checks_parametric_quartic(t, expected, cfg)
-    elif args.name == "ex3.1":
-        t, expected = EXAMPLES[args.name]()
-        checks = _checks_grouped_quartic(t, expected, cfg)
-    else:
-        t, expected = EXAMPLES[args.name]()
-        checks = _checks_shifted_cubic(t, expected, cfg)
+    t, expected = EXAMPLES[args.name]() if args.t is None else EXAMPLES[args.name](args.t)
+    checks = _EXAMPLE_CHECKS[args.name](t, expected, cfg)
     all_ok = all(c["ok"] for c in checks)
     results = {"example": args.name, "checks": checks, "all_ok": all_ok}
     if args.name == "ex4.1":
         results["t"] = float(expected["t"])
-    info = _tensor_info(t, args.name)
-    return info, results, 0 if all_ok else 1
+    return _tensor_info(t, args.name), results, 0 if all_ok else 1
 
-
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "minimize": _cmd_minimize,
-    "copositive": _cmd_copositive,
-    "verify": _cmd_verify,
-    "example": _cmd_example,
-}
 
 _CONFIG_KEYS = ("kind", "seed", "starts", "tol", "slack_tol", "zero_band", "resolution")
 
@@ -337,6 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "terms where that exceeds 1; values within max(1e-8, tol) of each "
                              "other count as one root, so the dedup tolerance is never below "
                              "tol (default 1e-10)")
+    kinds = argparse.ArgumentParser(add_help=False)
+    kinds.add_argument("--kind", choices=("h", "z", "both"), default="both",
+                       help="H, Z or both (default both; copositive requires the two to agree)")
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("file", help="JSON tensor document")
 
     parser = argparse.ArgumentParser(
         prog="paretospec",
@@ -344,33 +325,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[out, solver],
+    p = sub.add_parser("spectrum", parents=[document, kinds, out, solver],
                        help="enumerate the Pareto spectrum of a tensor document")
-    p.add_argument("file", help="JSON tensor document")
-    p.add_argument("--kind", choices=("h", "z", "both"), default="both")
+    p.set_defaults(run=_cmd_spectrum)
     p.add_argument("--slack-tol", type=float, default=DEFAULT_SLACK_TOL,
                    help="tolerance on complement slacks (default 1e-9)")
 
-    p = sub.add_parser("minimize", parents=[out, solver],
+    p = sub.add_parser("minimize", parents=[document, kinds, out, solver],
                        help="minimize the tensor form over the nonnegative unit sphere")
-    p.add_argument("file", help="JSON tensor document")
-    p.add_argument("--kind", choices=("h", "z", "both"), default="both")
+    p.set_defaults(run=_cmd_minimize)
     p.add_argument("--resolution", type=int, default=None,
                    help="also report the smallest value over a simplex grid of this "
                         "resolution, an upper bound on the minimum")
 
-    p = sub.add_parser("copositive", parents=[out, solver],
+    p = sub.add_parser("copositive", parents=[document, kinds, out, solver],
                        help="classify copositivity from the Pareto spectrum")
-    p.add_argument("file", help="JSON tensor document")
-    p.add_argument("--kind", choices=("h", "z", "both"), default="both",
-                   help="spectral route (default both, requiring agreement)")
+    p.set_defaults(run=_cmd_copositive)
     p.add_argument("--slack-tol", type=float, default=DEFAULT_SLACK_TOL)
     p.add_argument("--zero-band", type=float, default=DEFAULT_ZERO_BAND,
                    help="half-width of the boundary band around zero (default 1e-7)")
 
-    p = sub.add_parser("verify", parents=[out],
+    p = sub.add_parser("verify", parents=[document, out],
                        help="check a claimed Pareto eigenpair against its conditions")
-    p.add_argument("file", help="JSON tensor document")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--kind", choices=("h", "z"), required=True)
     p.add_argument("--value", type=float, required=True, help="claimed eigenvalue")
     p.add_argument("--vector", required=True,
@@ -380,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", parents=[out, solver],
                        help="run a built-in example and check its known values")
+    p.set_defaults(run=_cmd_example)
     p.add_argument("name", choices=sorted(EXAMPLES))
     p.add_argument("--t", type=float, default=None,
                    help="family parameter, ex4.1 only (default 0)")
@@ -392,10 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            info, results, code = _COMMANDS[args.command](args)
-        except DocumentError as e:
-            print(f"paretospec: {e}", file=sys.stderr)
-            return 2
+            info, results, code = args.run(args)
         except EmptySpectrumError as e:
             print(f"paretospec: {e}", file=sys.stderr)
             return 3
@@ -405,17 +380,12 @@ def main(argv: list[str] | None = None) -> int:
         except Exception as e:
             print(f"paretospec: internal error: {type(e).__name__}: {e}", file=sys.stderr)
             return 3
-    messages: list[str] = []
-    for w in caught:
-        text = str(w.message)
-        if text not in messages:
-            messages.append(text)
     report = {
         "command": args.command,
         "input": info,
         "config": _config_echo(args),
         "results": results,
-        "warnings": messages,
+        "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
     }
     if not args.no_timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)

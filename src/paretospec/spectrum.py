@@ -199,7 +199,8 @@ class VerifyReport:
 def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: float = 1e-8) -> VerifyReport:
     """Check the defining inequalities of a Pareto pair at tolerance `tol`.
 
-    Scale-invariant in y by design of the violations; y must be nonzero.
+    Scale-invariant in y by design of the violations.  value must be finite,
+    and y finite and nonzero.
     """
     sph = Sphere(kind, t.order)
     if not tol > 0:
@@ -209,9 +210,11 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
         raise ValueError(f"vector shape {y.shape} incompatible with dimension {t.dim}")
     if not np.isfinite(y).all():
         raise ValueError("vector has non-finite entries")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError("value must be finite")
     if np.abs(y).max() == 0.0:
         raise ValueError("vector must be nonzero")
-    value = float(value)
 
     nonneg_violation = float(max(0.0, -y.min()))
 

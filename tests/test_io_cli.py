@@ -1,6 +1,7 @@
 """Document parsing/serialization and the command-line front end."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from paretospec import (
     tensor_to_document,
 )
 from paretospec.cli import main
+from paretospec.copositivity import CopositivityVerdict
+from paretospec.spectrum import VerifyReport
 from paretospec.fixtures import grouped_quartic, shifted_cubic
 
 CUBIC_DOC = {
@@ -248,6 +251,7 @@ def test_cli_copositive_verdict(capsys, cubic_file):
     code, report = run_json(capsys, "copositive", cubic_file)
     assert code == 0
     res = report["results"]
+    assert list(res) == [f.name for f in fields(CopositivityVerdict)]
     assert res["classification"] == "strictly_copositive"
     assert res["route"] == "both"
     assert res["min_eigenvalue"] == pytest.approx(0.357239640503, abs=1e-8)
@@ -270,9 +274,20 @@ def test_cli_verify_rejects_false_pair_with_exit_1(capsys, cubic_file):
     )
     assert code == 1
     res = report["results"]
+    assert list(res) == ["kind", "value", "vector"] + [f.name for f in fields(VerifyReport)]
     assert res["ok"] is False
     assert res["failed_condition"] == "complement-slacks"
     assert res["slacks"][1] == pytest.approx(-2.0 / 3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_verify_non_finite_value_exit_2(capsys, cubic_file, value):
+    code, out, err = run_cli(
+        capsys, "verify", cubic_file, "--kind", "h", f"--value={value}", "--vector", "0,1",
+    )
+    assert code == 2
+    assert "value must be finite" in err
+    assert out == ""
 
 
 def test_cli_verify_bad_vector_string(capsys, cubic_file):
@@ -290,14 +305,21 @@ def test_cli_example_fixtures_pass(capsys, name):
     assert code == 0
     assert report["results"]["all_ok"] is True
     assert all(c["ok"] for c in report["results"]["checks"])
+    if name == "ex3.2":  # the value 2 is checked with its vector (0, 1)
+        names = {c["name"] for c in report["results"]["checks"]}
+        assert {"h_vector_at_2", "z_vector_at_2"} <= names
 
 
-@pytest.mark.parametrize("t", ["-1.0", "0.0", "0.25"])
+# the last t is the band edge: gamma = 1 + 27^(1/4) t is zero up to rounding
+@pytest.mark.parametrize("t", ["-1.0", "0.0", "0.25", repr(-(27.0 ** -0.25))])
 def test_cli_example_parametric_sweep(capsys, t):
     code, report = run_json(capsys, "example", "ex4.1", "--t", t)
     assert code == 0
     assert report["results"]["all_ok"] is True
     assert report["results"]["t"] == float(t)
+    if float(t) == -(27.0 ** -0.25):
+        (check,) = [c for c in report["results"]["checks"] if c["name"] == "classification"]
+        assert check["expected"] == check["got"] == "copositive_boundary"
 
 
 def test_cli_example_rejects_t_elsewhere(capsys):

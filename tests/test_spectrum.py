@@ -145,6 +145,10 @@ def test_verify_input_validation():
         verify_pareto_pair(t, 1.0, np.array([1.0, 1.0]), "X")
     with pytest.raises(ValueError):
         verify_pareto_pair(t, 1.0, np.array([1.0, 1.0]), "H", tol=0.0)
+    # NaN compares false with every tolerance, so a non-finite value would pass
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="value must be finite"):
+            verify_pareto_pair(t, value, np.array([0.0, 1.0]), "H")
 
 
 def test_matrix_spectrum_matches_principal_submatrix_oracle():
