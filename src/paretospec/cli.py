@@ -364,8 +364,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--option -X` joined into `--option=-X` where X reads as numbers.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative decimal, so `--t -1e-3` or `--value -inf` would lose the value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and tok.startswith("-") and _numbers(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _numbers(text: str) -> bool:
+    try:
+        _parse_vector(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

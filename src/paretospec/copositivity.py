@@ -70,9 +70,7 @@ def classify(
     """Classify copositivity of a symmetric tensor from its Pareto spectrum.
 
     route "H" or "Z" trusts that single spectrum; "both" computes the two
-    and requires the classifications to agree.  For order 2 the two minima
-    agree numerically as well, and a gap beyond 1e-6 likewise downgrades the
-    verdict to inconclusive.
+    and requires the classifications to agree.
     """
     if route not in ("H", "Z", "both"):
         raise ValueError(f"route must be 'H', 'Z', or 'both', got {route!r}")
@@ -99,17 +97,11 @@ def classify(
     margin = abs(value) - zero_band
 
     classification = classes[lead_kind]
-    if route == "both":
-        if len(set(classes.values())) > 1:
-            classification = "inconclusive"
-            notes.append(
-                "kinds disagree: " + ", ".join(f"{kd}={cl}" for kd, cl in classes.items())
-            )
-        elif t.order == 2:
-            gap = abs(results["H"][0] - results["Z"][0])
-            if gap > 1e-6:
-                classification = "inconclusive"
-                notes.append(f"order-2 minima differ by {gap:.3g} (> 1e-6)")
+    if len(set(classes.values())) > 1:
+        classification = "inconclusive"
+        notes.append(
+            "kinds disagree: " + ", ".join(f"{kd}={cl}" for kd, cl in classes.items())
+        )
     return CopositivityVerdict(
         classification=classification,
         route=route,

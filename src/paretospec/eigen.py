@@ -40,8 +40,9 @@ The route table runs no multistart: it marks the rows that need it (d >= 4
 and not diagonal, or an uncertified d = 3), and `solve_interior` is the one
 place that runs it, a damped Newton iteration from many random starts at
 once; the whole batch moves in lockstep through vectorized contraction
-kernels.  Multistart is a heuristic: it can miss roots, so no completeness
-claim is attached to its output.
+kernels.  As in `minimize`, the loop carries only its running members and
+returns the roots in start order.  Multistart is a heuristic: it can miss
+roots, so no completeness claim is attached to its output.
 
 The damping is a backtracking line search over the step lengths 2^-r,
 r = 0..6, and each member takes the first one that cuts its residual
@@ -294,8 +295,7 @@ def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.nda
 def _matrix(t: Tensor) -> np.ndarray:
     """Dense form of an order-2 tensor."""
     M = np.zeros((t.dim, t.dim))
-    for (i, (j,)), v in t.slices.items():
-        M[i, j] = v
+    M[:, t._mono[:, 0]] = t._P.T
     return M
 
 
@@ -685,55 +685,51 @@ def _backtrack(
 
 
 def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Values (R,) and vectors (R, dim) of the converged multistart members."""
+    """Values (R,) and vectors (R, dim) of the converged multistart members, in start order.
+
+    As in `minimize`, the loop keeps only its running members, ids mapping
+    them to their starts, and writes each root once.
+    """
     d = t.dim
     B = cfg.resolve_starts(d)
     rng = np.random.default_rng(cfg.seed)
     W = sph.normalize(rng.uniform(0.1, 1.0, size=(B, d)))
     L = t.apply_full_batch(W)
-    alive = np.ones(B, dtype=bool)
-    done = np.zeros(B, dtype=bool)
-    streak = np.zeros(B, dtype=np.int64)
+    ids, streak, keep = np.arange(B), np.zeros(B, dtype=np.int64), np.ones(B, dtype=bool)
+    found, W_end, L_end = np.zeros(B, dtype=bool), np.empty_like(W), np.empty_like(L)
 
     with np.errstate(all="ignore"):
         # residual rows at (W, L); an accepted line-search trial brings its own
         F = _system_eval(t, sph, W, L)
         Fnorm = np.abs(F).max(axis=1)
-        best_seen = Fnorm.copy()
-        done |= Fnorm <= cfg.tol
-        for _ in range(_MAX_ITERS):
-            act = np.flatnonzero(alive & ~done)
-            if act.size == 0:
+        best = Fnorm.copy()
+        for it in range(_MAX_ITERS + 1):
+            root = keep & (Fnorm <= cfg.tol)
+            found[ids[root]], W_end[ids[root]], L_end[ids[root]] = True, W[root], L[root]
+            run = keep & ~root
+            W, L, F, Fnorm, best, streak, ids = (v.compress(run, 0) for v in (W, L, F, Fnorm, best, streak, ids))
+            if ids.size == 0 or it == _MAX_ITERS:  # members still running are not roots
                 break
-            Wa, La, Fa = W[act], L[act], F[act]
-            step = _solve_steps(_system_jac(t, sph, Wa, La), Fa)
-            bad = ~np.isfinite(step).all(axis=1)
-            base = Fnorm[act]
+            step = _solve_steps(_system_jac(t, sph, W, L), F)
 
             def trial(rows, alpha):
-                tW = Wa[rows] + alpha[:, None] * step[rows, :d]
-                tL = La[rows] + alpha * step[rows, d]
+                tW = W[rows] + alpha[:, None] * step[rows, :d]
+                tL = L[rows] + alpha * step[rows, d]
                 tF = _system_eval(t, sph, tW, tL)
                 tn = np.abs(tF).max(axis=1)
-                ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha) * base[rows])
+                ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha) * Fnorm[rows])
                 return ok, (tW, tL, tF, tn)
 
-            nW, nL, nF, nn = np.empty_like(Wa), np.empty_like(La), np.empty_like(Fa), np.empty_like(base)
-            accepted = _backtrack(np.flatnonzero(~bad), _MAX_HALVINGS, B, trial, (nW, nL, nF, nn))
-            hit = act[accepted]
-            W[hit], L[hit], F[hit], Fnorm[hit] = nW[accepted], nL[accepted], nF[accepted], nn[accepted]
-            alive[act[~accepted]] = False
-            grown = np.abs(W[act]).max(axis=1) > 1e8
-            alive[act[grown]] = False
-            done[act] = Fnorm[act] <= cfg.tol
-
-            improved = Fnorm[act] < _STAGNATION_CUT * best_seen[act]
-            streak[act] = np.where(improved, 0, streak[act] + 1)
-            best_seen[act] = np.minimum(best_seen[act], Fnorm[act])
-            alive[act[streak[act] >= _STAGNATION_WINDOW]] = False
-
-    roots = np.flatnonzero(alive & done)
-    return L[roots], W[roots]
+            # a non-finite step stops its member; the search writes only rows
+            # that have passed, so it updates the running arrays in place
+            finite = np.flatnonzero(np.isfinite(step).all(axis=1))
+            accepted = _backtrack(finite, _MAX_HALVINGS, B, trial, (W, L, F, Fnorm))
+            streak = np.where(Fnorm < _STAGNATION_CUT * best, 0, streak + 1)
+            best = np.minimum(best, Fnorm)
+            # a member runs on while its search passes a rung, it stays
+            # bounded and it does not stagnate; at tol it is a root
+            keep = accepted & (np.abs(W).max(axis=1) <= 1e8) & (streak < _STAGNATION_WINDOW)
+    return L_end[found], W_end[found]
 
 
 def _polish(

@@ -30,9 +30,11 @@ from paretospec.eigen import (
     _generic_count,
     _hidden_roots,
     _keep_first,
+    _matrix,
     _newton_candidates,
     _null_roots,
     _off_diagonal,
+    _solve_steps,
     _sylvester,
     _sylvester_shape,
     _system_eval,
@@ -110,6 +112,16 @@ def test_nonsymmetric_matrix_route_drops_complex_pairs():
     assert pairs[0].value == pytest.approx(1.0 + np.sqrt(6.0), abs=1e-10)
 
 
+def test_matrix_reads_the_dense_form_off_the_monomial_table():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 5):
+        a = rng.uniform(-1, 1, size=(n, n))
+        a[rng.uniform(size=(n, n)) < 0.3] = 0.0
+        t = build(2, n, [((i, j), float(a[i, j])) for i in range(n) for j in range(n)])
+        np.testing.assert_array_equal(_matrix(t), a)
+    np.testing.assert_array_equal(_matrix(build(2, 3, [])), np.zeros((3, 3)))
+
+
 def test_diagonal_h_pairs_require_equal_entries():
     t_eq = build(3, 3, [((i, i, i), 2.0) for i in range(3)])
     pairs = solve_interior(t_eq, "H")
@@ -157,6 +169,18 @@ def test_unit_cubic_identity_z_value():
 
 
 # -- Newton route against reduced-polynomial oracles -------------------------
+
+
+def test_solve_steps_falls_back_per_row_on_a_singular_jacobian():
+    rng = np.random.default_rng(11)
+    J, F = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3))
+    J[2] = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]]  # exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, -F[:, :, None])
+    steps = _solve_steps(J, F)
+    for r in (0, 1, 3):
+        np.testing.assert_array_equal(steps[r], np.linalg.solve(J[r], -F[r]))
+    np.testing.assert_array_equal(steps[2], np.linalg.lstsq(J[2], -F[2], rcond=None)[0])
 
 
 def cubic_h_oracle():

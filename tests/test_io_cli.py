@@ -282,12 +282,19 @@ def test_cli_verify_rejects_false_pair_with_exit_1(capsys, cubic_file):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_verify_non_finite_value_exit_2(capsys, cubic_file, value):
-    code, out, err = run_cli(
-        capsys, "verify", cubic_file, "--kind", "h", f"--value={value}", "--vector", "0,1",
-    )
-    assert code == 2
-    assert "value must be finite" in err
-    assert out == ""
+    # argparse alone would take a separate "-inf" for an option
+    for given in ([f"--value={value}"], ["--value", value]):
+        code, out, err = run_cli(capsys, "verify", cubic_file, "--kind", "h", *given, "--vector", "0,1")
+        assert code == 2
+        assert "value must be finite" in err
+        assert out == ""
+
+
+def test_cli_verify_reads_a_separate_negative_vector(capsys, cubic_file):
+    code, report = run_json(capsys, "verify", cubic_file, "--kind", "h", "--value", "1e0", "--vector", "-1e-1,1")
+    assert code == 1
+    assert report["results"]["vector"] == [-0.1, 1.0]
+    assert report["results"]["failed_condition"] == "nonnegativity"
 
 
 def test_cli_verify_bad_vector_string(capsys, cubic_file):
@@ -311,7 +318,7 @@ def test_cli_example_fixtures_pass(capsys, name):
 
 
 # the last t is the band edge: gamma = 1 + 27^(1/4) t is zero up to rounding
-@pytest.mark.parametrize("t", ["-1.0", "0.0", "0.25", repr(-(27.0 ** -0.25))])
+@pytest.mark.parametrize("t", ["-1.0", "-1e-3", "0.0", "0.25", repr(-(27.0 ** -0.25))])
 def test_cli_example_parametric_sweep(capsys, t):
     code, report = run_json(capsys, "example", "ex4.1", "--t", t)
     assert code == 0

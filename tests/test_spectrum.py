@@ -178,6 +178,24 @@ def test_matrix_spectrum_matches_principal_submatrix_oracle():
     assert_value_sets_close(spec.values(), want, tol=1e-10)
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_order_two_h_and_z_spectra_coincide(symmetric):
+    # at order 2 both kinds normalize with k = 2, and every route reads only
+    # k and the order, so the two spectra agree bit for bit
+    rng = np.random.default_rng(56)
+    for n in range(2, 6):
+        a = rng.uniform(-1, 1, size=(n, n))
+        a = (a + a.T) / 2 if symmetric else a
+        t = build(2, n, [((i, j), float(a[i, j])) for i in range(n) for j in range(n)])
+        h, z = pareto_spectrum(t, "H"), pareto_spectrum(t, "Z")
+        assert h.complete == z.complete
+        assert [c.subset for c in h.items] == [c.subset for c in z.items]
+        assert [c.boundary for c in h.items] == [c.boundary for c in z.items]
+        assert h.values() == z.values()
+        for ch, cz in zip(h.items, z.items):
+            np.testing.assert_array_equal(ch.vector, cz.vector)
+
+
 def test_uniform_diagonal_has_a_certificate_per_subset():
     t = build(3, 3, [((i, i, i), 2.0) for i in range(3)])
     spec = pareto_spectrum(t, "H")
