@@ -194,7 +194,7 @@ def solve_closed_forms(
     The rows, sorted index sets of one size, are routed by `_closed_form`
     and solved together on `t`, without building a sub-tensor, in
     consecutive chunks of at most _BATCH_CELLS cells of candidate rows,
-    slice scans and linearizations.  Returns the arrays (S, W, L, residual,
+    table scans and linearizations.  Returns the arrays (S, W, L, residual,
     C) of `_finalize` for all chunks, concatenated in subset order (no rows
     when nothing is found), and per row of `subsets` whether its sub-problem
     was solved exhaustively and whether it needs multistart.  The rows
@@ -211,15 +211,15 @@ def solve_closed_forms(
     mono, cells, _ = t._jacobian_tables
     row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
     per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
-    # the slice scan of `_off_diagonal`: order cells per slice
-    subset_cells = t.order * t._coef.size if t.order > 2 else 0
+    # the scan of `_off_diagonal`: order cells per nonzero cell of t._P
+    subset_cells = t.order * np.count_nonzero(t._P) if t.order > 2 else 0
     if size == 3 and t.order > 2:
-        # three charts per 3-index row: a slice scan, the Sylvester
-        # coefficients before and after the rotation, and the complex
-        # (two cells a number) companion matrix of size ns D
+        # three charts per 3-index row: a scan of the monomials' m-1
+        # indices, the Sylvester coefficients before and after the rotation,
+        # and the complex (two cells a number) companion matrix of size ns D
         ns, D = _sylvester_shape(sph)
         per_subset = _generic_count(sph, 3)
-        subset_cells += 3 * (t.order * t._coef.size + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
+        subset_cells += 3 * ((t.order - 1) * t._mono.shape[0] + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
     step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
     chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
     exhaustive, multistart = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
@@ -302,11 +302,13 @@ def _matrix(t: Tensor) -> np.ndarray:
 def _off_diagonal(t: Tensor, subsets: np.ndarray) -> np.ndarray:
     """Per row of `subsets`, whether an off-diagonal slice of t has all its indices in the row.
 
-    The rows without one give diagonal principal sub-tensors.  One scan of
-    order x slices cells per row.
+    The rows without one give diagonal principal sub-tensors.  The slices
+    are the nonzero cells (r, i) of t._P, off-diagonal unless _mono[r] is
+    (i, ..., i); one gather of order cells per off-diagonal slice and row.
     """
-    off = (t._trail != t._lead[:, None]).any(axis=1)
-    indices = np.concatenate([t._lead[off, None], t._trail[off]], axis=1)
+    r, lead = np.nonzero(t._P)
+    off = (t._mono[r] != lead[:, None]).any(axis=1)
+    indices = np.concatenate([lead[off, None], t._mono[r[off]]], axis=1)
     member = np.zeros((subsets.shape[0], t.dim), dtype=bool)
     member[np.arange(subsets.shape[0])[:, None], subsets] = True
     return member[:, indices].all(axis=2).any(axis=1)
@@ -411,8 +413,8 @@ def _two_index(
     p_j(s) = value * rhs_j(w), with p_a(s) = (A w^{m-1})_a.  Eliminating the
     value leaves one polynomial, p_j - s^{m-1} p_i (H, degree <= 2(m-1)) or
     p_j - s p_i (Z, degree <= m), whose positive roots are the interior
-    pairs.  Slice r feeds p_a when its lead is a and its trailing indices lie
-    in {i, j}, at the power of s that counts the j's among them.  Exact-zero
+    pairs.  Monomial r of t._mono, when its indices lie in {i, j}, feeds
+    p_a with t._P[r, a] at the power of s that counts its j's.  Exact-zero
     end coefficients are roots at w = (1, 0) or (0, 1), off the interior, so
     they are divided out.  What is left takes one companion-matrix
     eigensolve per degree, and a root is kept when its real part is positive
@@ -426,10 +428,9 @@ def _two_index(
     """
     N, m = subsets.shape[0], t.order
     i, j = subsets[:, :1], subsets[:, 1:]
-    trail_inside = ((t._trail == i[:, :, None]) | (t._trail == j[:, :, None])).all(axis=2)
-    rows, r = np.nonzero(trail_inside & ((t._lead == i) | (t._lead == j)))
+    rows, r = np.nonzero(((t._mono == i[:, :, None]) | (t._mono == j[:, :, None])).all(axis=2))
     P = np.zeros((N, 2, m))  # P[n, a, k]: coefficient of s^k in p_a, a = 0 for i, 1 for j
-    P[rows, (t._lead[r] == j[rows, 0]).astype(np.intp), (t._trail[r] == j[rows]).sum(axis=1)] = t._coef[r]
+    P[rows, :, (t._mono[r] == j[rows]).sum(axis=1)] = t._P[r[:, None], subsets[rows]]
     shift = m - 1 if sph.k == m else 1
     q = np.zeros((N, m + shift))  # ascending coefficients of p_j - s^shift p_i
     q[:, :m] += P[:, 1]
@@ -494,16 +495,14 @@ def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray,
     and g in s: rows s^k f (k < m-1), then s^k g (k < D); column col for
     s^col.
     """
-    m = t.order
-    lead_at = t._lead[:, None] == subsets[:, None, :]  # (N, K, 3)
-    trail_at = t._trail[:, :, None] == subsets[:, None, None, :]  # (N, K, m-1, 3)
-    N = subsets.shape[0]
-    n, r = np.nonzero(lead_at.any(axis=2) & trail_at.any(axis=3).all(axis=2))
-    local = lead_at[n, r].argmax(axis=1)
-    power = trail_at[n, r].sum(axis=1)  # (R, 3): how often each local index trails
+    m, N = t.order, subsets.shape[0]
+    at = t._mono[:, :, None] == subsets[:, None, None, :]  # (N, M, m-1, 3)
+    n, r = np.nonzero(at.any(axis=3).all(axis=2))
+    power = at[n, r].sum(axis=1)  # (R, 3): how often each local index is a factor
+    coef = t._P[r[:, None], subsets[n]]  # (R, 3): the coefficient in each local row
     P = np.zeros((3, N, 3, m, m))
     for c, (_, q, rr) in enumerate(_CHARTS):
-        P[c, n, np.argsort(_CHARTS[c])[local], power[:, q], power[:, rr]] = t._coef[r]
+        P[c, n[:, None], np.argsort(_CHARTS[c]), power[:, q, None], power[:, rr, None]] = coef
     P = P.reshape(3 * N, 3, m, m)
     ns, D = _sylvester_shape(sph)
     shift = D - (m - 1)
@@ -579,7 +578,7 @@ def _three_index(
     p_a(s, t) = (A w^{m-1})_a match value * rhs_a(w), and eliminating the
     value leaves
     f = p_q - s^{m-1} p_p and g = p_r - t^{m-1} p_p (H), or f = p_q - s p_p
-    and g = p_r - t p_p (Z).  Slices feed the p_a as in `_two_index`.  The
+    and g = p_r - t p_p (Z).  Monomials feed the p_a as in `_two_index`.  The
     Sylvester matrix of f and g in s, of size ns = deg f + deg g, is a
     matrix polynomial of degree D = deg f in t, singular exactly at the t
     of the common roots, and its null vector there is (1, s, s^2, ...).

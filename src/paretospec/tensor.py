@@ -75,16 +75,12 @@ class Tensor:
     slices: Mapping[SliceKey, float]
     symmetric: bool = False
 
-    # Evaluation tables derived from slices in __post_init__.  _lead, _trail
-    # and _coef list the slices in key order, for the slice scans of the
-    # exact routes (eigen._off_diagonal, _two_index and _sylvester).  The
-    # kernels read monomial tables instead: row r of _mono holds the sorted
-    # indices of a distinct trailing monomial of degree m-1, and _P[r, i] is
-    # the coefficient of that monomial in component i, so A x^{m-1} is
-    # prod(x[_mono]) @ _P.  The Jacobian's table is `_jacobian_tables`.
-    _lead: np.ndarray = field(init=False, repr=False, compare=False)
-    _trail: np.ndarray = field(init=False, repr=False, compare=False)
-    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    # Evaluation tables derived from slices in __post_init__, read by the
+    # kernels and by the exact routes' scans alike: row r of _mono holds the
+    # sorted indices of a distinct trailing monomial of degree m-1, and
+    # _P[r, i] is the coefficient of that monomial in component i (the slice
+    # (i, _mono[r]), 0 when absent), so A x^{m-1} is prod(x[_mono]) @ _P.
+    # The Jacobian's table is `_jacobian_tables`.
     _mono: np.ndarray = field(init=False, repr=False, compare=False)
     _P: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -109,18 +105,13 @@ class Tensor:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coefficient for slice ({lead}, {trail})")
 
-        k = len(keys)
         lead = np.array([i for i, _ in keys], dtype=np.intp)
-        trail = np.array([tr for _, tr in keys], dtype=np.intp).reshape(k, m - 1)
         coef = np.array([self.slices[key] for key in keys], dtype=np.float64)
         # a slice is the only one with its (monomial, lead), so P needs no sums
         ids: dict[tuple[int, ...], int] = {}
         row = [ids.setdefault(tr, len(ids)) for _, tr in keys]
         P = np.zeros((len(ids), n))
         P[row, lead] = coef
-        object.__setattr__(self, "_lead", lead)
-        object.__setattr__(self, "_trail", trail)
-        object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_mono", np.array(list(ids), dtype=np.intp).reshape(len(ids), m - 1))
         object.__setattr__(self, "_P", P)
 
@@ -131,14 +122,18 @@ class Tensor:
         mono lists the distinct monomials of degree m-2 that the slices leave
         when one trailing index is dropped, and cells the (lead, j) cells the
         slices touch, so Q is sized by the slices, never monomials x n^2.
-        Slice (i, T) puts coef * c_j at Q[T - {j}, i*n + j] for every
-        distinct j in T, c_j being the multiplicity of j in T; no other slice
-        reaches that entry.  Built on first use: only the solvers need it, on
-        tensors under the enumeration guard, and on a large sparse tensor Q
-        (up to (slices * (m-1))^2 entries) can outgrow P.
+        Slice (i, T), a nonzero cell of _P read in key order, puts coef * c_j
+        at Q[T - {j}, i*n + j] for every distinct j in T, c_j being the
+        multiplicity of j in T; no other slice reaches that entry.  Built on
+        first use: only the solvers need it, on tensors under the enumeration
+        guard, and on a large sparse tensor Q (up to (slices * (m-1))^2
+        entries) can outgrow P.
         """
         m, n = self.order, self.dim
-        trail = self._trail
+        lead, k = np.nonzero(self._P.T)  # slice (lead, _mono[k])
+        key = np.lexsort((*self._mono[k].T[::-1], lead))
+        lead, k = lead[key], k[key]
+        trail, coef = self._mono[k], self._P[k, lead]
         first = np.ones(trail.shape, dtype=bool)  # first position of each distinct index
         first[:, 1:] = trail[:, 1:] != trail[:, :-1]
         mult = (trail[:, :, None] == trail[:, None, :]).sum(axis=2)
@@ -147,9 +142,9 @@ class Tensor:
         others = np.array([[q for q in range(m - 1) if q != pp] for pp in range(m - 1)], dtype=np.intp)
         ids: dict[tuple[int, ...], int] = {}
         row = [ids.setdefault(tuple(rest), len(ids)) for rest in trail[r[:, None], others[p]].tolist()]
-        cells, col = np.unique(self._lead[r] * n + trail[r, p], return_inverse=True)
+        cells, col = np.unique(lead[r] * n + trail[r, p], return_inverse=True)
         Q = np.zeros((len(ids), cells.size))
-        Q[row, col] = self._coef[r] * mult[r, p]
+        Q[row, col] = coef[r] * mult[r, p]
         return np.array(list(ids), dtype=np.intp).reshape(len(ids), m - 2), cells, Q
 
     # -- evaluation --------------------------------------------------------
@@ -240,7 +235,7 @@ class Tensor:
         return Tensor(self.order, len(sub), new_slices, symmetric=self.symmetric)
 
     def is_diagonal(self) -> bool:
-        return all(trail == (lead,) * (self.order - 1) for lead, trail in self.slices)
+        return all(v == 0.0 or trail == (lead,) * (self.order - 1) for (lead, trail), v in self.slices.items())
 
     def diagonal_entries(self) -> np.ndarray:
         return np.array([self.slices.get((i, (i,) * (self.order - 1)), 0.0) for i in range(self.dim)])
@@ -252,10 +247,12 @@ class Tensor:
 def _symmetrize_slices(order: int, slices: Mapping[SliceKey, float]) -> dict[SliceKey, float]:
     """Slice table of the symmetric part of a tensor given in slice form.
 
-    Coefficients sharing one full index multiset K are averaged over all
+    Coefficients sharing one full index multiset K are averaged over all N
     orderings of K; the result depends only on the totals already stored, so
-    symmetrization is exact at the slice level.  A multiset whose
-    coefficients cancel stores no slice, as `build` stores no zero entry.
+    symmetrization is exact at the slice level.  The slice led by i, with
+    trail K less one i, sums the N c_i / m orderings that begin with i, c_i
+    being the multiplicity of i in K.  A multiset whose coefficients cancel
+    stores no slice, as `build` stores no zero entry.
     """
     totals: dict[tuple[int, ...], float] = {}
     for (lead, trail), v in slices.items():
@@ -268,16 +265,9 @@ def _symmetrize_slices(order: int, slices: Mapping[SliceKey, float]) -> dict[Sli
         counts = Counter(key)
         n_orderings = _multiset_permutations(counts, order)
         per_ordering = total / n_orderings
-        for i in counts:
-            rest = counts.copy()
-            rest[i] -= 1
-            if rest[i] == 0:
-                del rest[i]
-            trail_list: list[int] = []
-            for j, c in sorted(rest.items()):
-                trail_list.extend([j] * c)
-            trail = tuple(trail_list)
-            out[(i, trail)] = per_ordering * _multiset_permutations(rest, order - 1)
+        for i, c in counts.items():
+            p = key.index(i)
+            out[(i, key[:p] + key[p + 1 :])] = per_ordering * (n_orderings * c // order)
     return out
 
 

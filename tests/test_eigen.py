@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import paretospec.eigen as eigen_mod
-from paretospec import fixtures
+from paretospec import fixtures, pareto_spectrum
 from paretospec.eigen import (
     POS_TOL,
     EigenPair,
@@ -41,7 +41,7 @@ from paretospec.eigen import (
     _system_jac,
 )
 from paretospec.minimize import _MAX_BACKTRACKS
-from paretospec.tensor import Sphere, build, knorm
+from paretospec.tensor import Sphere, Tensor, build, knorm
 
 from conftest import dense_contract, dense_from_entries, dense_symmetrize, random_entries, random_symmetric_tensor
 
@@ -358,19 +358,35 @@ def test_newton_route_agrees_with_diagonal_closed_form():
     assert any(abs(v - closed[0].value) < 1e-8 for v in vals)
 
 
+def _spectrum_key(spec):
+    return spec.complete, [(c.subset, c.value, c.vector.tolist()) for c in spec.items]
+
+
 @pytest.mark.parametrize("order", [3, 4])
 def test_off_diagonal_scan_matches_principal_subtensors(order):
-    # oracle: the route table's slice scan against each sub-tensor's own check
+    # oracle: the route table's scan against each sub-tensor's own check
     rng = np.random.default_rng(60 + order)
+    tensors = []
     for dim in (2, 3, 4, 5):
         for count in (1, 2, 4, 8):
             entries = random_entries(rng, order, dim, count)
             entries += [((i,) * order, 1.0) for i in range(dim)]
-            t = build(order, dim, entries, symmetrize=bool(rng.integers(2)))
-            for card in range(1, dim + 1):
-                subsets = np.array(list(itertools.combinations(range(dim), card)), dtype=np.intp)
-                want = [not t.principal_subtensor(row).is_diagonal() for row in subsets]
-                assert _off_diagonal(t, subsets).tolist() == want, (t.slices, card)
+            tensors.append(build(order, dim, entries, symmetrize=bool(rng.integers(2))))
+    # a slice stored as exactly 0.0 couples nothing: the tensor stays diagonal
+    diagonal = {(i, (i,) * (order - 1)): float(i + 1) for i in range(3)}
+    zero_slice = Tensor(order, 3, {**diagonal, (0, (1,) * (order - 2) + (2,)): 0.0})
+    tensors.append(zero_slice)
+    for t in tensors:
+        for card in range(1, t.dim + 1):
+            subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
+            want = [not t.principal_subtensor(row).is_diagonal() for row in subsets]
+            assert _off_diagonal(t, subsets).tolist() == want, (t.slices, card)
+    assert zero_slice.is_diagonal()
+    for kind in ("H", "Z"):
+        assert solved_exhaustively(zero_slice, kind) is True
+        want = _spectrum_key(pareto_spectrum(Tensor(order, 3, diagonal), kind))
+        assert _spectrum_key(pareto_spectrum(zero_slice, kind)) == want
+        assert want[0] is True
 
 
 # -- exact 3-index route -------------------------------------------------------
@@ -421,9 +437,14 @@ def test_three_index_chart_finds_the_generic_root_count(kind, order):
 
 @pytest.mark.parametrize("order", [3, 4])
 def test_three_index_route_is_exhaustive_and_finds_the_multistart_pairs(order):
+    # symmetric tensors, and dense non-symmetric ones, whose leads each
+    # carry their own coefficient of a monomial
     rng = np.random.default_rng(40 + order)
+    tensors = [random_symmetric_tensor(rng, order, 3) for _ in range(3)]
     for _ in range(3):
-        t = random_symmetric_tensor(rng, order, 3)
+        entries = [(idx, float(rng.uniform(-1.0, 1.0))) for idx in itertools.product(range(3), repeat=order)]
+        tensors.append(build(order, 3, entries))
+    for t in tensors:
         for kind in ("H", "Z"):
             assert solved_exhaustively(t, kind) is True
             exact = solve_interior(t, kind)

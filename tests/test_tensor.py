@@ -179,11 +179,12 @@ def test_knorm_values():
         knorm(x, 0.5)
 
 
-def test_symmetrize_matches_dense_average_over_permutations():
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_symmetrize_matches_dense_average_over_permutations(order):
     rng = np.random.default_rng(21)
-    entries = random_entries(rng, 3, 3, 40)
-    t = build(3, 3, entries, symmetrize=True)
-    a_sym = dense_symmetrize(dense_from_entries(3, 3, entries))
+    entries = random_entries(rng, order, 3, 40)
+    t = build(order, 3, entries, symmetrize=True)
+    a_sym = dense_symmetrize(dense_from_entries(order, 3, entries))
     assert t.symmetric
     for _ in range(8):
         x = rng.uniform(-1, 1, size=3)
