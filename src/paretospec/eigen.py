@@ -54,9 +54,9 @@ do that, so a member that passes no rung up to 2^-6 is dropped at once.
 member gets the next B // pending rungs (at least one), B being the start
 count, so a call never holds more rows than the first full evaluation, and
 a straggler walks the whole ladder in one or two calls instead of one call
-per halving.  The accepted steps are the ones a rung-by-rung loop would
-take.  `minimize` uses the same helper for its projected-gradient
-backtracking.
+per halving.  It returns the members that pass, with their accepted trial
+rows, which the loop carries on: the steps a rung-by-rung loop would take.
+`minimize` uses the same helper for its projected-gradient backtracking.
 """
 
 from __future__ import annotations
@@ -651,43 +651,45 @@ _Trial = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, tuple[np.ndarray, 
 
 
 def _backtrack(
-    members: np.ndarray, last_rung: int, budget: int, trial: _Trial, out: tuple[np.ndarray, ...]
-) -> np.ndarray:
+    members: np.ndarray, last_rung: int, budget: int, trial: _Trial
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Backtracking line search over the step lengths 2^-r, r = 0..last_rung.
 
     trial(rows, alpha) tries member rows[i] at step length alpha[i] and
     returns (ok, values): ok marks the trials that pass the acceptance test
-    and values holds arrays with one entry per trial.  Every member takes the
+    and values holds arrays with one row per trial.  Every member takes the
     first rung it passes, the step a loop halving one rung at a time would
-    stop at, and its values are written to out[j][member].  Instead of one
-    rung per call, each call tries the next max(1, budget // pending) rungs
-    of every pending member at once, so a call evaluates at most `budget`
-    rows while that many are pending, and few calls remain once most members
-    have passed.  Returns a mask, over the rows of out, of the members that
-    passed some rung.
+    stop at.  Instead of one rung per call, each call tries the next
+    max(1, budget // pending) rungs of every pending member at once, so a
+    call evaluates at most `budget` rows while that many are pending, and
+    few calls remain once most members have passed.  Returns (passed,
+    values): the ascending `members` that pass some rung, and the trial rows
+    they accept.  With no members no trial runs, and values is ().
     """
-    passed = np.zeros(out[0].shape[0], dtype=bool)
-    pend, rung = members, 0
+    hits, picks, pend, rung = [], [], members, 0
     while pend.size and rung <= last_rung:
         b = min(max(1, budget // pend.size), last_rung + 1 - rung)
-        alpha = np.ldexp(1.0, -np.tile(np.arange(rung, rung + b), pend.size))
+        alpha = np.full((pend.size, b), np.ldexp(1.0, -np.arange(rung, rung + b))).ravel()
         ok, values = trial(np.repeat(pend, b), alpha)
         ok = ok.reshape(pend.size, b)
         hit = ok.any(axis=1)
-        first = np.flatnonzero(hit) * b + ok.argmax(axis=1)[hit]
-        for dst, v in zip(out, values):
-            dst[pend[hit]] = v[first]
-        passed[pend[hit]] = True
+        first = hit.nonzero()[0] * b + ok.argmax(axis=1)[hit]
+        hits.append(pend[hit])
+        picks.append(tuple(v.take(first, 0) for v in values))
         pend = pend[~hit]
         rung += b
-    return passed
+    if len(hits) <= 1:
+        return (hits[0], picks[0]) if hits else (members, ())
+    passed = np.concatenate(hits)
+    order = np.argsort(passed)
+    return passed.take(order), tuple(np.concatenate(v).take(order, 0) for v in zip(*picks))
 
 
 def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Values (R,) and vectors (R, dim) of the converged multistart members, in start order.
 
-    As in `minimize`, the loop keeps only its running members, ids mapping
-    them to their starts, and writes each root once.
+    The loop keeps only its running members, ids mapping them to their
+    starts, and writes each root once.
     """
     d = t.dim
     B = cfg.resolve_starts(d)
@@ -719,15 +721,17 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
                 ok = np.isfinite(tn) & (tn < (1.0 - 1e-4 * alpha) * Fnorm[rows])
                 return ok, (tW, tL, tF, tn)
 
-            # a non-finite step stops its member; the search writes only rows
-            # that have passed, so it updates the running arrays in place
+            # a non-finite step, or a search that passes no rung, stops its
+            # member; the others run on from their accepted trial
             finite = np.flatnonzero(np.isfinite(step).all(axis=1))
-            accepted = _backtrack(finite, _MAX_HALVINGS, B, trial, (W, L, F, Fnorm))
+            if finite.size == 0:
+                break
+            passed, (W, L, F, Fnorm) = _backtrack(finite, _MAX_HALVINGS, B, trial)
+            ids, streak, best = ids.take(passed), streak.take(passed), best.take(passed)
             streak = np.where(Fnorm < _STAGNATION_CUT * best, 0, streak + 1)
             best = np.minimum(best, Fnorm)
-            # a member runs on while its search passes a rung, it stays
-            # bounded and it does not stagnate; at tol it is a root
-            keep = accepted & (np.abs(W).max(axis=1) <= 1e8) & (streak < _STAGNATION_WINDOW)
+            # a member runs on while it stays bounded and does not stagnate
+            keep = (np.abs(W).max(axis=1) <= 1e8) & (streak < _STAGNATION_WINDOW)
     return L_end[found], W_end[found]
 
 

@@ -5,15 +5,15 @@ k = 2 for the Z geometry.  The optimizer is projected gradient descent with
 Armijo backtracking, run from many random starts in one vectorized batch.
 Each iteration tries the step lengths bb * 2^-r, r = 0..50, from the
 Barzilai-Borwein length bb down, and each member takes the first that
-decreases the objective enough; the rungs are tried in blocks of at most as
-many rows as there are starts (`eigen._backtrack`).  The projection is the
-componentwise clamp at zero followed by rescaling to the sphere; a trial row
-that clamps to zero comes back NaN, and the Armijo comparisons reject it.
-Each trial contracts once, C = A x^{m-1}, with objective x . C, and the
-accepted trial's C gives the next gradient m C: one contraction per start
-and per trial point, and none besides.  Gradients use the symmetric part
-of the tensor, which leaves the objective unchanged; KKT quantities are
-reported against the tensor as given.
+decreases the objective enough, or stops; the rungs are tried in blocks of
+at most as many rows as there are starts (`eigen._backtrack`).  The
+projection is the componentwise clamp at zero followed by rescaling to the
+sphere; a trial row that clamps to zero comes back NaN, and the Armijo
+comparisons reject it.  Each trial contracts once, C = A x^{m-1}, with
+objective x . C, and the accepted trial's C gives the next gradient m C: one
+contraction per start and per trial point, and none besides.  Gradients use
+the symmetric part of the tensor, which leaves the objective unchanged; KKT
+quantities are reported against the tensor as given.
 
 This module is the independent check on the spectral route: for symmetric
 tensors the minimum value must match the smallest Pareto eigenvalue of the
@@ -112,9 +112,9 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
     # C = A x^{m-1} per member: the objective is x . C and the gradient m C
     C = s.contract_batch(X)
     F = np.einsum("bi,bi->b", X, C)
-    # the loop keeps the running members only, in start order; ids maps them
-    # to their starts, and a member that stops leaves its iterate in X_end
-    ids, X_end, F_end = np.arange(B), np.empty_like(X), np.empty_like(F)
+    # the loop keeps the running members only; a member that stops leaves
+    # its iterate and value in `ends`
+    ends = []
     # previous iterate and gradient feed the spectral (Barzilai-Borwein)
     # step length that seeds each Armijo backtrack; the first step, with
     # no previous move, has length 1
@@ -122,10 +122,10 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
 
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITERS):
-            if ids.size == 0:
-                break
             G = _tangential(m * C, X, k)
-            done = np.abs(X - _project(X - G, sph)).max(axis=1) <= PG_TOL
+            live = (np.abs(X - _project(X - G, sph)).max(axis=1) > PG_TOL).nonzero()[0]
+            if live.size == 0:
+                break
             sv, yv = X - prev_X, G - prev_G
             num = np.einsum("bi,bi->b", sv, sv)
             den = np.einsum("bi,bi->b", sv, yv)
@@ -136,22 +136,22 @@ def minimize(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> Minim
 
             # row gathers use take: fancy indexing costs ~10x more at this size
             def trial(rows, alpha):
-                x, f = X.take(rows, 0), F[rows]
+                x, f = X.take(rows, 0), F.take(rows)
                 tX = _project(x - alpha[:, None] * S.take(rows, 0), sph)
                 tC = s.contract_batch(tX)
                 tF = np.einsum("bi,bi->b", tX, tC)
                 decrease = np.einsum("bi,bi->b", G.take(rows, 0), x - tX)
                 return (tF <= f - _ARMIJO * decrease) & (tF < f), (tX, tF, tC)
 
-            out = (X.copy(), F.copy(), C.copy())
-            moved = _backtrack(np.flatnonzero(~done), _MAX_BACKTRACKS, B, trial, out)
-            prev_X, prev_G, (X, F, C) = X, G, out
-            # members done, or unable to decrease along the projected path, stop
-            X_end[ids[~moved]], F_end[ids[~moved]] = X[~moved], F[~moved]
-            X, F, C, prev_X, prev_G, ids = (v.compress(moved, 0) for v in (X, F, C, prev_X, prev_G, ids))
-    X_end[ids], F_end[ids] = X, F
+            passed, (tX, tF, tC) = _backtrack(live, _MAX_BACKTRACKS, B, trial)
+            # members stationary, or unable to decrease along the projected
+            # path, stop at their iterate; the rest move to their accepted trial
+            stop = np.bincount(passed, minlength=F.size) == 0
+            ends.append((X.compress(stop, 0), F.compress(stop)))
+            prev_X, prev_G, X, F, C = X.take(passed, 0), G.take(passed, 0), tX, tF, tC
+    X_end, F_end = (np.concatenate(v) for v in zip(*ends, (X, F)))
 
-    # lexicographic tie-break on exactly equal values keeps the result stable
+    # the least (F, x) in lexicographic order: one point, whatever the row order
     best = np.lexsort(np.vstack([X_end.T[::-1], F_end]))[0]
     x_best = X_end[best].copy()
     _, _, kkt = kkt_residual(t, x_best, kind)
@@ -181,13 +181,16 @@ def kkt_residual(t: Tensor, x: np.ndarray, kind: Kind) -> tuple[float, np.ndarra
     return float(lambda_est), y_est, residual
 
 
+@functools.lru_cache(maxsize=1)
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """All nonnegative integer compositions of `resolution` into `dim` parts, scaled to the simplex.
 
     Rows come in ascending lexicographic order.  Column by column, each
     partial row with r units left becomes r + 1 rows whose next part runs
-    0..r, in order; the last part takes what is left.
+    0..r, in order; the last part takes what is left.  The last grid is
+    kept, read-only, for both kinds and the next tensor of its dimension.
     """
+    _simplex_grid.cache_clear()  # a new shape: drop the last grid before building
     parts = np.zeros((1, 0), dtype=np.int64)
     left = np.array([resolution], dtype=np.int64)
     for _ in range(dim - 1):
@@ -196,7 +199,9 @@ def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
         part = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
         parts = np.column_stack([parts[owner], part])
         left = left[owner] - part
-    return np.column_stack([parts, left]).astype(np.float64) / float(resolution)
+    grid = np.column_stack([parts, left]).astype(np.float64) / float(resolution)
+    grid.flags.writeable = False
+    return grid
 
 
 def check_grid(dim: int, resolution: int) -> None:
@@ -220,9 +225,10 @@ def grid_lower_bound(t: Tensor, kind: Kind, resolution: int = 64) -> float:
     """
     sph = Sphere(kind, t.order)
     check_grid(t.dim, resolution)
-    X = sph.normalize(_simplex_grid(t.dim, int(resolution)))
+    grid = _simplex_grid(t.dim, int(resolution))
     best = np.inf
-    for lo in range(0, X.shape[0], 8192):
-        vals = t.apply_full_batch(X[lo : lo + 8192])
+    # rows normalize independently, so no normalized copy of the grid is held
+    for lo in range(0, grid.shape[0], 8192):
+        vals = t.apply_full_batch(sph.normalize(grid[lo : lo + 8192]))
         best = min(best, float(vals.min()))
     return best

@@ -545,13 +545,15 @@ def test_blocked_backtracking_matches_halving_ladder(last_rung):
     for members in member_sets:
         for budget in {max(members.size, 1), n, 3 * n}:
             got_rows, want_rows = [], []
-            got = (np.full(n, -1.0), np.full(n, -1.0))
             want = (np.full(n, -1.0), np.full(n, -1.0))
-            got_passed = _backtrack(members, last_rung, budget, _patterned_trial(passes, nonfinite, got_rows), got)
+            got_passed, got = _backtrack(members, last_rung, budget, _patterned_trial(passes, nonfinite, got_rows))
             want_passed = _halving_ladder(members, last_rung, _patterned_trial(passes, nonfinite, want_rows), want)
-            assert np.array_equal(got_passed, want_passed)
+            assert np.array_equal(got_passed, np.flatnonzero(want_passed))
+            assert (np.diff(got_passed) > 0).all() and np.isin(got_passed, members).all()
+            # one value array per trial output; with no members no trial runs
+            assert len(got) == (len(want) if members.size else 0)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+                assert np.array_equal(g, w[want_passed])
             assert max(got_rows, default=0) <= budget
 
 

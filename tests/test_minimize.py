@@ -11,6 +11,7 @@ from paretospec.minimize import MinimizeResult, _project, _simplex_grid, check_g
 from paretospec.spectrum import min_pareto
 from paretospec.tensor import Sphere, build, knorm
 
+from conftest import random_symmetric_tensor
 from test_eigen import cubic_h_oracle, cubic_z_oracle
 
 FAST = SolverConfig(starts=150, seed=2)
@@ -201,6 +202,25 @@ def _compositions_by_bars(dim, resolution):
 def test_simplex_grid_matches_stars_and_bars(dim, resolution):
     grid = _simplex_grid(dim, resolution)
     np.testing.assert_array_equal(grid, _compositions_by_bars(dim, resolution))
+
+
+def test_simplex_grid_is_shared_and_read_only():
+    grid = _simplex_grid(3, 8)
+    assert grid is _simplex_grid(3, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 1.0
+
+
+def test_grid_bound_from_shared_grid_matches_fresh_build():
+    # 47,905 points at n = 4, resolution 64: several normalized chunks
+    t = random_symmetric_tensor(np.random.default_rng(5), 3, 4)
+    kinds = ("H", "Z", "H")
+    fresh = []
+    for kind in kinds:
+        _simplex_grid.cache_clear()
+        fresh.append(grid_lower_bound(t, kind, resolution=64))
+    assert [grid_lower_bound(t, kind, resolution=64) for kind in kinds] == fresh
+    assert _simplex_grid.cache_info().hits == len(kinds)
 
 
 def test_grid_three_and_four_dims_run():
