@@ -30,11 +30,12 @@ is solved, and special structure is solved exactly:
     otherwise the claim is withdrawn and the sub-problem also runs
     multistart (below), both candidate sets merging.
 
-These exact routes also solve many principal sub-tensors of one parent at
-once (`solve_closed_forms`): candidate rows carry their index subset, and
-the polish and filters read each sub-problem off the parent's contraction at
-the zero-filled vector, so no sub-tensor is built.  The singleton, matrix and
-diagonal roots are exact up to rounding and skip the polish.
+These exact routes also solve all principal sub-tensors of one parent at
+once (`solve_closed_forms`), without building one: the candidates of every
+size become zero-filled rows on the parent, and one `_finalize` pass reads
+each sub-problem off the parent's contraction there, its polish gathering
+the rows of each support size.  The singleton, matrix and diagonal roots
+are exact up to rounding and skip the polish.
 
 The route table runs no multistart: it marks the rows that need it (d >= 4
 and not diagonal, or an uncertified d = 3), and `solve_interior` is the one
@@ -61,8 +62,9 @@ rows, which the loop carries on: the steps a rung-by-rung loop would take.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -182,53 +184,72 @@ def solve_interior(t: Tensor, kind: Kind, config: SolverConfig | None = None) ->
     if multistart[0]:
         NL, NW = _newton_candidates(t, sph, cfg)
         W, L, polish = np.concatenate([W, NW]), np.concatenate([L, NL]), np.r_[polish, np.ones(NL.size, dtype=bool)]
-    _, W, L, res, _ = _finalize(t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg, polish)
+    interior = W.min(axis=1) > POS_TOL  # a zero entry would read as off the support
+    W, L, res, _ = _finalize(t, sph, W[interior], L[interior], polish[interior], cfg)
     return [EigenPair(float(v), w.copy(), kind, float(r)) for v, w, r in zip(L, W, res)]
 
 
 def solve_closed_forms(
-    t: Tensor, kind: Kind, subsets: np.ndarray, config: SolverConfig | None = None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Interior pairs of the principal sub-tensors of `t` on the rows of `subsets`.
+    t: Tensor, kind: Kind, config: SolverConfig | None = None
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], bool, list[np.ndarray]]]:
+    """Interior pairs of all principal sub-tensors of `t` that have an exact route.
 
-    The rows, sorted index sets of one size, are routed by `_closed_form`
-    and solved together on `t`, without building a sub-tensor, in
+    The subsets of each size, sorted index sets in lexicographic order, are
+    routed by `_closed_form` on `t`, without building a sub-tensor, in
     consecutive chunks of at most _BATCH_CELLS cells of candidate rows,
-    table scans and linearizations.  Returns the arrays (S, W, L, residual,
-    C) of `_finalize` for all chunks, concatenated in subset order (no rows
-    when nothing is found), and per row of `subsets` whether its sub-problem
-    was solved exhaustively and whether it needs multistart.  The rows
-    marked for multistart contribute no pairs here: the caller solves them
-    with `solve_interior`.
+    table scans and linearizations.  The positive candidates of all sizes
+    collect as zero-filled rows on `t` and take one `_finalize` whenever the
+    next chunk would carry them past _BATCH_CELLS cells, and at the end.
+    Yields per batch ((Y, L, residual, C), exhaustive, multistart) in subset
+    order: the rows of `_finalize`, whether every sub-problem of the batch
+    was solved exhaustively, and the subsets of the batch marked for
+    multistart, which contribute no pairs here: the caller solves them with
+    `solve_interior`.
     """
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
-    N, size = subsets.shape
-    # a matrix sub-problem gives up to `size` rows, a 2-index one up to
-    # 2(m-1), a 3-index one up to the generic root count and any other at
-    # most one.  Per row, t's kernels hold the placed dim^2 Jacobian, its
-    # touched cells, and one monomial product (and gather) per kernel
+    # Per row, t's kernels hold the placed dim^2 Jacobian, its touched
+    # cells, and one monomial product (and gather) per kernel
     mono, cells, _ = t._jacobian_tables
     row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
-    per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
-    # the scan of `_off_diagonal`: order cells per nonzero cell of t._P
-    subset_cells = t.order * np.count_nonzero(t._P) if t.order > 2 else 0
-    if size == 3 and t.order > 2:
-        # three charts per 3-index row: a scan of the monomials' m-1
-        # indices, the Sylvester coefficients before and after the rotation,
-        # and the complex (two cells a number) companion matrix of size ns D
-        ns, D = _sylvester_shape(sph)
-        per_subset = _generic_count(sph, 3)
-        subset_cells += 3 * ((t.order - 1) * t._mono.shape[0] + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
-    step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
-    chunks = [(subsets[:0], np.empty((0, size)), np.empty(0), np.empty(0), np.empty((0, t.dim)))]
-    exhaustive, multistart = np.empty(N, dtype=bool), np.empty(N, dtype=bool)
-    for lo in range(0, N, step):
-        chunk = subsets[lo : lo + step]
-        R, W, L, polish, exhaustive[lo : lo + step], multistart[lo : lo + step] = _closed_form(t, sph, chunk, cfg)
-        keep = ~multistart[lo + R]
-        chunks.append(_finalize(t, sph, chunk[R[keep]], W[keep], L[keep], cfg, polish[keep]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*chunks)), exhaustive, multistart
+    batch, rows, exhaustive, multistart = [], 0, True, []
+
+    def flush():  # the batch leaves the generator before the caller takes it on
+        Y, L, polish = (np.concatenate(arrays) for arrays in zip(*batch))
+        batch.clear()
+        return _finalize(t, sph, Y, L, polish, cfg)
+
+    for size in range(1, t.dim + 1):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(t.dim), size))
+        subsets = np.array(list(flat), dtype=np.intp).reshape(-1, size)
+        # a matrix sub-problem gives up to `size` rows, a 2-index one up to
+        # 2(m-1), a 3-index one up to the generic root count and any other
+        # at most one
+        per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
+        # the scan of `_off_diagonal`: order cells per nonzero cell of t._P
+        subset_cells = t.order * np.count_nonzero(t._P) if t.order > 2 else 0
+        if size == 3 and t.order > 2:
+            # three charts per 3-index row: a scan of the monomials' m-1
+            # indices, the Sylvester coefficients before and after the
+            # rotation, and the complex (two cells a number) companion
+            # matrix of size ns D
+            ns, D = _sylvester_shape(sph)
+            per_subset = _generic_count(sph, 3)
+            subset_cells += 3 * ((t.order - 1) * t._mono.shape[0] + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
+        step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
+        for lo in range(0, subsets.shape[0], step):
+            chunk = subsets[lo : lo + step]
+            R, W, L, polish, done, newton = _closed_form(t, sph, chunk, cfg)
+            keep = ~newton[R] & (W.min(axis=1) > POS_TOL)  # zero-filling keeps only positive supports
+            # a subset marked for multistart counts as one row of the batch
+            more = np.count_nonzero(keep) + np.count_nonzero(newton)
+            if rows and (rows + more) * row_cells > _BATCH_CELLS:
+                yield flush(), exhaustive, multistart
+                rows, exhaustive, multistart = 0, True, []
+            batch.append((embed_rows(W[keep], chunk[R[keep]], t.dim), L[keep], polish[keep]))
+            rows, exhaustive = rows + more, exhaustive and bool(done.all())
+            multistart.extend(chunk[newton])
+    yield flush(), exhaustive, multistart
 
 
 def solved_exhaustively(t: Tensor, kind: Kind, config: SolverConfig | None = None) -> bool:
@@ -302,16 +323,12 @@ def _matrix(t: Tensor) -> np.ndarray:
 def _off_diagonal(t: Tensor, subsets: np.ndarray) -> np.ndarray:
     """Per row of `subsets`, whether an off-diagonal slice of t has all its indices in the row.
 
-    The rows without one give diagonal principal sub-tensors.  The slices
-    are the nonzero cells (r, i) of t._P, off-diagonal unless _mono[r] is
-    (i, ..., i); one gather of order cells per off-diagonal slice and row.
+    The rows without one give diagonal principal sub-tensors: one gather of
+    order cells per off-diagonal slice and row.
     """
-    r, lead = np.nonzero(t._P)
-    off = (t._mono[r] != lead[:, None]).any(axis=1)
-    indices = np.concatenate([lead[off, None], t._mono[r[off]]], axis=1)
     member = np.zeros((subsets.shape[0], t.dim), dtype=bool)
     member[np.arange(subsets.shape[0])[:, None], subsets] = True
-    return member[:, indices].all(axis=2).any(axis=1)
+    return member[:, t._off_diagonal_slices].all(axis=2).any(axis=1)
 
 
 def _closed_form(
@@ -759,58 +776,74 @@ def _polish(
     return W, L, F, C
 
 
+def _support_key(on: np.ndarray) -> np.ndarray:
+    """Per row of a support mask, an integer in the order of (size, sorted index tuple).
+
+    Of two supports of one size, the earlier holds the first index where
+    they differ, so the complement is read as binary digits, index 0 first.
+    """
+    n = on.shape[1]
+    return (on.sum(axis=1) << n) + (~on) @ (1 << np.arange(n - 1, -1, -1))
+
+
 def _finalize(
     t: Tensor,
     sph: Sphere,
-    S: np.ndarray,
-    W: np.ndarray,
+    Y: np.ndarray,
     L: np.ndarray,
-    cfg: SolverConfig,
     polish: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Positivity filter, exact renormalization, polish, residual test, dedup, stable order.
 
-    Candidate r is (L[r], W[r]) on the support S[r].  Only the rows marked
-    in `polish` take `_polish`; the others are exact up to rounding
-    already.  Returns the rows that pass and survive `_keep_first`
-    as (S, W, L, residual, C), C being t's contraction at the zero-filled
-    vectors, sorted by support, then value, then vector.
+    Candidate r is (L[r], Y[r]) on the support where Y[r] is nonzero, and
+    supports of any sizes mix.  Only the rows marked in `polish` take
+    `_polish`, gathered as (S, W) per support size; the others are exact up
+    to rounding already.  Returns the rows that pass and survive
+    `_keep_first` as (Y, L, residual, C), C being t's contraction at Y,
+    sorted by support (`_support_key`), then value, then vector.  A
+    returned row's support entries exceed POS_TOL.
     """
-    c = S.shape[1]
-    interior = W.min(axis=1) > POS_TOL
-    S, W, L = S[interior], W[interior], L[interior]
+    n, on = t.dim, Y != 0.0
+    interior = np.where(on, Y, np.inf).min(axis=1) > POS_TOL
+    Y, on, L = Y[interior], on[interior], L[interior]
     polish = np.flatnonzero(polish[interior])
-    if W.shape[0] == 0:
-        return S, W, L, np.empty(0), np.empty((0, t.dim))
-    W = sph.normalize(W)
-    F, C = _support_system(t, sph, S, W, L)
-    if polish.size:
-        W[polish], L[polish], F[polish], C[polish] = _polish(
-            t, sph, S[polish], W[polish], L[polish], F[polish], C[polish]
-        )
+    if Y.shape[0] == 0:
+        return Y, L, np.empty(0), np.empty((0, n))
+    Y = sph.normalize(Y)
+    C = t.contract_batch(Y)
+    F = _system_eval(t, sph, Y, L, C)
+    F[:, :n][~on] = 0.0  # C off the support holds complement slacks, not eigen rows
+    card = on.sum(axis=1)
+    for c in np.flatnonzero(np.bincount(card[polish])).tolist():
+        rows = polish[card[polish] == c]
+        S = np.nonzero(on[rows])[1].reshape(-1, c)
+        at = (rows[:, None], S)
+        FS = np.concatenate([F[at], F[rows, n:]], axis=1)
+        Y[at], L[rows], FS, C[rows] = _polish(t, sph, S, Y[at], L[rows], FS, C[rows])
+        F[at], F[rows, n] = FS[:, :c], FS[:, c]
 
     with np.errstate(all="ignore"):
         res = np.abs(F).max(axis=1)
-        magnitude = np.take_along_axis(t.contract_magnitude_batch(embed_rows(W, S, t.dim)), S, axis=1)
-        scale = magnitude + np.abs(L)[:, None] * np.abs(sph.rhs(W))
-        genuine = (np.abs(F[:, :c]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
+        scale = t.contract_magnitude_batch(Y) + np.abs(L)[:, None] * np.abs(sph.rhs(Y))
+        genuine = (np.abs(F[:, :n]) <= _REL_ROOT_TOL * scale + 1e-14).all(axis=1)
         # tol bounds an eigen row relative to its scale once that exceeds 1:
         # a polished root keeps the rounding of its entries' size
-        converged = (np.abs(F[:, :c]) <= cfg.tol * np.maximum(1.0, scale)).all(axis=1) & (np.abs(F[:, c]) <= cfg.tol)
-    keep = np.isfinite(res) & converged & (W.min(axis=1) > POS_TOL) & genuine
-    keys = tuple(W[keep, j] for j in reversed(range(c))) + (L[keep],) + tuple(S[keep, j] for j in reversed(range(c)))
-    order = np.flatnonzero(keep)[np.lexsort(keys)]
-    S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]
-    kept = _keep_first(S, W, L, cfg.dedup_tol)
-    return S[kept], W[kept], L[kept], res[kept], C[kept]
+        converged = (np.abs(F[:, :n]) <= cfg.tol * np.maximum(1.0, scale)).all(axis=1) & (np.abs(F[:, n]) <= cfg.tol)
+    keep = np.isfinite(res) & converged & (np.where(on, Y, np.inf).min(axis=1) > POS_TOL) & genuine
+    order = np.flatnonzero(keep)[np.lexsort((*Y[keep].T[::-1], L[keep], _support_key(on[keep])))]
+    Y, on, L, res, C = Y[order], on[order], L[order], res[order], C[order]
+    kept = _keep_first(on, Y, L, cfg.dedup_tol)
+    return Y[kept], L[kept], res[kept], C[kept]
 
 
 def _keep_first(S: np.ndarray, W: np.ndarray, L: np.ndarray, dedup_tol: float) -> np.ndarray:
     """Mask of the rows that keep-first dedup keeps within each support.
 
-    Rows sharing a support are contiguous.  A row is dropped when an earlier
-    kept row of its support lies within dedup_tol in value and
-    VECTOR_DEDUP_TOL in vector.  Each round keeps the first remaining row of
+    Rows sharing a support (equal rows of S: index rows, or masks) are
+    contiguous.  A row is dropped when an earlier kept row of its support
+    lies within dedup_tol in value and VECTOR_DEDUP_TOL in vector.  Each
+    round keeps the first remaining row of
     every support and drops the remaining rows of that support within
     tolerance of it, itself included, so there is one round per kept row of
     the largest group, not one Python step per row.

@@ -185,21 +185,26 @@ def kkt_residual(t: Tensor, x: np.ndarray, kind: Kind) -> tuple[float, np.ndarra
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """All nonnegative integer compositions of `resolution` into `dim` parts, scaled to the simplex.
 
-    Rows come in ascending lexicographic order.  Column by column, each
-    partial row with r units left becomes r + 1 rows whose next part runs
-    0..r, in order; the last part takes what is left.  The last grid is
-    kept, read-only, for both kinds and the next tensor of its dimension.
+    Rows come in ascending lexicographic order, filled into one array.  The
+    compositions into the last k parts grow in its leading rows, k = 1..dim:
+    those whose first part is p > 0 repeat the last rows of those whose
+    first part is 0, the ones whose next part is at least p, with p moved
+    from that part to the first.  The last grid is kept, read-only, for
+    both kinds and the next tensor of its dimension.
     """
     _simplex_grid.cache_clear()  # a new shape: drop the last grid before building
-    parts = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([resolution], dtype=np.int64)
-    for _ in range(dim - 1):
-        counts = left + 1
-        owner = np.repeat(np.arange(left.size), counts)
-        part = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        parts = np.column_stack([parts[owner], part])
-        left = left[owner] - part
-    grid = np.column_stack([parts, left]).astype(np.float64) / float(resolution)
+    grid = np.empty((math.comb(resolution + dim - 1, dim - 1), dim))
+    grid[0, -1], top = resolution, 1
+    for j in reversed(range(dim - 1)):
+        grid[:top, j], lo = 0.0, top
+        for part in range(1, resolution + 1):
+            rows = math.comb(resolution - part + dim - j - 2, dim - j - 2)
+            grid[lo : lo + rows, j + 1 :] = grid[top - rows : top, j + 1 :]
+            grid[lo : lo + rows, j] = part
+            grid[lo : lo + rows, j + 1] -= part
+            lo += rows
+        top = lo
+    grid /= resolution
     grid.flags.writeable = False
     return grid
 

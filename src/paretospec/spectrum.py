@@ -12,28 +12,28 @@ components of A y^{m-1} are nonnegative.  Enumerating all nonempty subsets
 N of the index set therefore produces the complete spectrum, up to the
 completeness of the per-subset interior solver.
 
-Subsets are enumerated by cardinality.  All sub-problems of one cardinality
-go to `solve_closed_forms`, whose route table (`eigen._closed_form`) solves
-the ones with an exact route (one to three indices, order 2, or a diagonal
-sub-tensor) as one batch on the parent tensor and marks the others for
-multistart; only those build a principal sub-tensor, solved by
-`solve_interior`.  Both give arrays of supports, vectors, values, residuals
-and A y^{m-1} at the zero-filled vectors y, whose off-support entries are
-the complement slacks.  One mask admits rows, and only admitted rows become
-certificates.  A tensor of dimension 3 or less is solved exactly, up to the
-withdrawals of `solved_exhaustively`.
+`solve_closed_forms` routes the subsets of each cardinality through the
+route table (`eigen._closed_form`), which solves the sub-problems with an
+exact route (one to three indices, order 2, or a diagonal sub-tensor) on
+the parent tensor and marks the others for multistart; only those build a
+principal sub-tensor, solved by `solve_interior`.  The exact candidates of
+all cardinalities take one finalize pass as zero-filled vectors y on the
+parent, flushed whenever they fill a batch, and come back with
+A y^{m-1}, whose off-support entries are the complement slacks.  The
+multistart pairs of the batch join them, one mask admits rows, and only
+admitted rows become certificates.  A tensor of dimension 3 or less is
+solved exactly, up to the withdrawals of `solved_exhaustively`.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, solve_closed_forms, solve_interior
-from .tensor import Kind, Sphere, Tensor, embed, embed_rows
+from .eigen import VECTOR_DEDUP_TOL, EigenPair, SolverConfig, _support_key, solve_closed_forms, solve_interior
+from .tensor import Kind, Sphere, Tensor, embed
 
 DEFAULT_SLACK_TOL = 1e-9
 # A complement slack counts as negative for the `boundary` flag only below
@@ -121,31 +121,39 @@ def pareto_spectrum(
     cfg = config if config is not None else SolverConfig()
     items: list[SubsetCertificate] = []
     complete = True
-    for card in range(1, t.dim + 1):
-        subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
-        (S, W, L, res, C), exhaustive, multistart = solve_closed_forms(t, kind, subsets, cfg)
-        complete &= bool(exhaustive.all())
-        newton = subsets[multistart]
-        if newton.size:
-            found = [(s, pair) for s in newton for pair in solve_interior(t.principal_subtensor(s), kind, cfg)]
-            NS = np.array([s for s, _ in found], dtype=np.intp).reshape(-1, card)
-            NW = np.array([pair.vector for _, pair in found]).reshape(-1, card)
-            S, W = np.concatenate([S, NS]), np.concatenate([W, NW])
+    for (Y, L, res, slacks), exhaustive, multistart in solve_closed_forms(t, kind, cfg):
+        complete &= exhaustive
+        found = [(s, pair) for s in multistart for pair in solve_interior(t.principal_subtensor(s), kind, cfg)]
+        if found:
+            NY = np.array([embed(pair.vector, s, t.dim) for s, pair in found])
+            Y, slacks = np.concatenate([Y, NY]), np.concatenate([slacks, t.contract_batch(NY)])
             L = np.concatenate([L, [pair.value for _, pair in found]])
             res = np.concatenate([res, [pair.residual for _, pair in found]])
-            C = np.concatenate([C, t.contract_batch(embed_rows(NW, NS, t.dim))])
-            order = np.lexsort(S.T[::-1])  # stable, so each subset keeps its value order
-            S, W, L, res, C = S[order], W[order], L[order], res[order], C[order]
-        Y = embed_rows(W, S, t.dim)
-        # every support entry exceeds POS_TOL, so the zeros of Y are the complement
-        slacks = C[Y == 0.0].reshape(len(L), t.dim - card)
-        keep = np.flatnonzero(~(slacks < -slack_tol).any(axis=1))
-        suspect = W.min(axis=1) <= VECTOR_DEDUP_TOL  # the only rows `_duplicates_kept` can match
-        subs, values, residuals = S.tolist(), L.tolist(), res.tolist()
-        for r, boundary in zip(keep.tolist(), _boundary(t, Y[keep], slacks[keep]).tolist()):
-            if not (suspect[r] and _duplicates_kept(items, values[r], Y[r], cfg.dedup_tol)):
-                pair = EigenPair(values[r], W[r], kind, residuals[r])
-                items.append(SubsetCertificate(tuple(subs[r]), pair, Y[r], slacks[r], boundary))
+            order = np.argsort(_support_key(Y != 0.0), kind="stable")  # each subset keeps its value order
+            Y, L, res, slacks = Y[order], L[order], res[order], slacks[order]
+        # A y^{m-1} holds the slacks off the support, which is where Y is
+        # nonzero: every support entry exceeds POS_TOL
+        on = Y != 0.0
+        slacks[on] = 0.0
+        keep = ~(slacks < -slack_tol).any(axis=1)
+        Y, on, slacks = Y[keep], on[keep], slacks[keep]
+        boundary = _boundary(t, Y, slacks)
+        suspect = np.where(on, Y, 1.0).min(axis=1) <= VECTOR_DEDUP_TOL  # the only rows `_duplicates_kept` can match
+        L, res, size, n = L[keep], res[keep], on.sum(axis=1), t.dim
+        # the rows of one support size are contiguous, and so are their
+        # vectors and complement slacks in the flat arrays below: rows a:b
+        # take entries p:q of W and a*n - p:b*n - q of the slacks
+        W, slacks, p = Y[on], slacks[~on], 0
+        for c in np.flatnonzero(np.bincount(size)).tolist():
+            a, b = np.searchsorted(size, [c, c + 1]).tolist()
+            q = p + (b - a) * c
+            rows = zip(np.nonzero(on[a:b])[1].reshape(-1, c).tolist(), W[p:q].reshape(-1, c), Y[a:b],
+                       slacks[a * n - p : b * n - q].reshape(b - a, -1), L[a:b].tolist(), res[a:b].tolist(),
+                       boundary[a:b].tolist(), suspect[a:b].tolist())
+            for subset, w, y, off, value, residual, flag, near in rows:
+                if not (near and _duplicates_kept(items, value, y, cfg.dedup_tol)):
+                    items.append(SubsetCertificate(tuple(subset), EigenPair(value, w, kind, residual), y, off, flag))
+            p = q
     min_value = min((c.value for c in items), default=None)
     return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
 
@@ -153,16 +161,15 @@ def pareto_spectrum(
 def _boundary(t: Tensor, Y: np.ndarray, slacks: np.ndarray) -> np.ndarray:
     """Per zero-filled row of Y, whether a complement slack is negative beyond its rounding.
 
-    slacks[r] holds the components of A y^{m-1} at the zeros of Y[r].  A
-    slack that is zero in exact arithmetic comes out as a few ulps of either
-    sign; only one below -_BOUNDARY_EPS times the magnitude of its own
-    monomials counts.
+    slacks[r] holds the components of A y^{m-1} at the zeros of Y[r], and 0
+    on its support.  A slack that is zero in exact arithmetic comes out as
+    a few ulps of either sign; only one below -_BOUNDARY_EPS times the
+    magnitude of its own monomials counts.
     """
     flag = np.zeros(len(Y), dtype=bool)
     neg = np.flatnonzero((slacks < 0.0).any(axis=1))
     if neg.size:
-        scale = t.contract_magnitude_batch(Y[neg])[Y[neg] == 0.0].reshape(slacks[neg].shape)
-        flag[neg] = (slacks[neg] < -_BOUNDARY_EPS * scale).any(axis=1)
+        flag[neg] = (slacks[neg] < -_BOUNDARY_EPS * t.contract_magnitude_batch(Y[neg])).any(axis=1)
     return flag
 
 

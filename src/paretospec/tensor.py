@@ -147,6 +147,13 @@ class Tensor:
         Q[row, col] = coef[r] * mult[r, p]
         return np.array(list(ids), dtype=np.intp).reshape(len(ids), m - 2), cells, Q
 
+    @functools.cached_property
+    def _off_diagonal_slices(self) -> np.ndarray:
+        """(K, m) index rows (i, *_mono[r]) of the nonzero cells (r, i) of _P with _mono[r] not (i, ..., i)."""
+        r, lead = np.nonzero(self._P)
+        off = (self._mono[r] != lead[:, None]).any(axis=1)
+        return np.concatenate([lead[off, None], self._mono[r[off]]], axis=1)
+
     # -- evaluation --------------------------------------------------------
 
     @staticmethod
@@ -327,7 +334,7 @@ def embed(w: np.ndarray, subset: Sequence[int], dim: int) -> np.ndarray:
 def embed_rows(W: np.ndarray, S: np.ndarray, dim: int) -> np.ndarray:
     """Row r of W scattered onto the indices S[r] of a length-`dim` row, zeros elsewhere."""
     Y = np.zeros((W.shape[0], dim))
-    np.put_along_axis(Y, S, W, axis=1)
+    Y[np.arange(W.shape[0])[:, None], S] = W
     return Y
 
 

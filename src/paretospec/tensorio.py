@@ -108,7 +108,10 @@ def parse_document(text: str) -> TensorDocument:
         value = item["value"]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DocumentError(f"{where}: 'value' must be a number, got {value!r}")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise DocumentError(f"{where}: value out of the float range") from None
         if value != value or value in (float("inf"), float("-inf")):
             raise DocumentError(f"{where}: non-finite value")
         key = tuple(idx)

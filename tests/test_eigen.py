@@ -305,9 +305,7 @@ def test_two_index_route_matches_newton_and_roots_oracle(order):
             assert_pairs_match(exact, two_index_oracle(a, kind))
             sph = Sphere(kind, order)
             L, W = _newton_candidates(t, sph, FAST)
-            _, W, L, _, _ = _finalize(
-                t, sph, np.broadcast_to(np.arange(2), W.shape), W, L, FAST, np.ones(L.size, dtype=bool)
-            )
+            W, L, _, _ = _finalize(t, sph, W, L, np.ones(L.size, dtype=bool), FAST)
             assert_pairs_match([EigenPair(v, w, kind, 0.0) for v, w in zip(L, W)], two_index_oracle(a, kind))
 
 
@@ -450,9 +448,7 @@ def test_three_index_route_is_exhaustive_and_finds_the_multistart_pairs(order):
             exact = solve_interior(t, kind)
             sph = Sphere(kind, order)
             L, W = _newton_candidates(t, sph, SolverConfig(starts=3000, seed=5))
-            _, W, L, _, _ = _finalize(
-                t, sph, np.broadcast_to(np.arange(3), W.shape), W, L, FAST, np.ones(L.size, dtype=bool)
-            )
+            W, L, _, _ = _finalize(t, sph, W, L, np.ones(L.size, dtype=bool), FAST)
             for value, vector in zip(L, W):
                 assert any(abs(p.value - value) <= 1e-9 and np.abs(p.vector - vector).max() <= 1e-7 for p in exact)
             for p in exact:

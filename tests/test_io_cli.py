@@ -343,6 +343,15 @@ def test_cli_malformed_document_exit_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_cli_value_beyond_float_range_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"order": 2, "dim": 1, "entries": [{"index": [1, 1], "value": 1' + "0" * 400 + "}]}")
+    code, out, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 2
+    assert "entries[0]: value out of the float range" in err
+    assert "internal error" not in err
+
+
 def test_cli_missing_file_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "spectrum", str(tmp_path / "none.json"))
     assert code == 2

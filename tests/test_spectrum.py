@@ -279,7 +279,9 @@ def test_boundary_flag_ignores_rounding_of_zero_slacks():
         # the pair solved on the principal sub-matrix rounds differently
         for pair in solve_interior(t.principal_subtensor(subset), "H"):
             y = embed(pair.vector, subset, 4)
-            assert not _boundary(t, y[None, :], complement_slacks(t, subset, pair.vector)[None, :])[0]
+            slacks = np.where(y == 0.0, t.apply_contract(y), 0.0)
+            assert (slacks[y == 0.0] == complement_slacks(t, subset, pair.vector)).all()
+            assert not _boundary(t, y[None, :], slacks[None, :])[0]
 
 
 def test_shifted_cubic_and_quartics_are_complete():
@@ -362,10 +364,9 @@ def test_min_pareto_empty_spectrum_error(monkeypatch):
 
     # closed-form sub-problems are solved in batches, the ones marked for
     # multistart (here the pair) one by one; neither route finds anything
-    def nothing(t, kind, subsets, config=None):
-        N, c = subsets.shape
-        empty = (subsets[:0], np.empty((0, c)), np.empty(0), np.empty(0), np.empty((0, t.dim)))
-        return empty, np.full(N, c != 2), np.full(N, c == 2)
+    def nothing(t, kind, config=None):
+        empty = (np.empty((0, t.dim)), np.empty(0), np.empty(0), np.empty((0, t.dim)))
+        yield empty, False, [np.array([0, 1])]
 
     monkeypatch.setattr(spectrum_mod, "solve_closed_forms", nothing)
     monkeypatch.setattr(spectrum_mod, "solve_interior", lambda *a, **k: [])
@@ -445,6 +446,13 @@ def _equivalence_cases():
     yield "sparse-m4", build(
         4, 4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 1.0), ((2, 2, 2, 2), 2.0), ((3, 3, 3, 3), 3.0),
                ((0, 1, 1, 1), -0.5), ((2, 2, 3, 3), 0.3)], symmetrize=True)
+    # every cardinality of dimensions 8 and 9 in one pass, c >= 8 included,
+    # where numpy's row sums turn pairwise: the positive matrix admits its
+    # Perron pair on each of its 511 subsets, and the Z-spectrum of the
+    # positive diagonal a pair on each of its 255
+    big = rng.uniform(0, 1, size=(9, 9))
+    yield "matrix-symmetric-n9", _matrix_tensor((big + big.T) / 2)
+    yield "diagonal-m4-n8-positive", build(4, 8, [((i,) * 4, float(v)) for i, v in enumerate(rng.uniform(0.5, 2, 8))])
 
 
 @pytest.mark.parametrize("batch_cells", [None, 1, 200], ids=["default-chunks", "one-subset-chunks", "small-chunks"])
@@ -462,6 +470,18 @@ def test_batched_spectrum_matches_per_subset_reference(monkeypatch, batch_cells)
                 np.testing.assert_allclose(c.vector, vector, rtol=0, atol=1e-12, err_msg=where)
                 np.testing.assert_allclose(c.slacks, slacks, rtol=0, atol=1e-12, err_msg=where)
             assert spec.complete == want_complete, where
+
+
+def test_closed_form_batches_stay_within_the_cell_budget(monkeypatch):
+    # 255 Z pairs of every support size; each row costs at least dim^2 cells
+    t = build(4, 8, [((i,) * 4, 1.0 + i / 8) for i in range(8)])
+    whole = [batch for batch, _, _ in eigen_mod.solve_closed_forms(t, "Z")]
+    monkeypatch.setattr(eigen_mod, "_BATCH_CELLS", 4096)
+    parts = [batch for batch, _, _ in eigen_mod.solve_closed_forms(t, "Z")]
+    assert len(whole) == 1 and len(parts) > 1
+    assert max(len(L) for _, L, _, _ in parts) <= 4096 // t.dim**2
+    for want, got in zip(whole[0], (np.concatenate(arrays) for arrays in zip(*parts))):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)  # row counts may reach BLAS apart
 
 
 # Bench `spectra` seed 3, item m4n3#23: the coefficient of each index multiset,
@@ -491,9 +511,7 @@ def _multistart_pairs(t, kind):
     """Multistart Newton on the whole index set, which spectra solve exactly up to dimension 3."""
     sph, cfg = Sphere(kind, t.order), SolverConfig()
     L, W = eigen_mod._newton_candidates(t, sph, cfg)
-    return eigen_mod._finalize(
-        t, sph, np.broadcast_to(np.arange(t.dim), W.shape), W, L, cfg, np.ones(L.size, dtype=bool)
-    )[1:3]
+    return eigen_mod._finalize(t, sph, W, L, np.ones(L.size, dtype=bool), cfg)[:2]
 
 
 def test_newton_ladder_cut_at_stagnation_rung_keeps_every_pair(monkeypatch):
