@@ -840,13 +840,13 @@ def _finalize(
 def _keep_first(S: np.ndarray, W: np.ndarray, L: np.ndarray, dedup_tol: float) -> np.ndarray:
     """Mask of the rows that keep-first dedup keeps within each support.
 
-    Rows sharing a support (equal rows of S: index rows, or masks) are
-    contiguous.  A row is dropped when an earlier kept row of its support
-    lies within dedup_tol in value and VECTOR_DEDUP_TOL in vector.  Each
-    round keeps the first remaining row of
-    every support and drops the remaining rows of that support within
-    tolerance of it, itself included, so there is one round per kept row of
-    the largest group, not one Python step per row.
+    Rows sharing a support (equal rows of the mask S) are contiguous.  A
+    row is dropped when an earlier kept row of its support lies within
+    dedup_tol in value and VECTOR_DEDUP_TOL in vector.  Each round keeps
+    the first remaining row of every support and drops the remaining rows
+    of that support within tolerance of it, itself included, so there is
+    one round per kept row of the largest group, not one Python step per
+    row.
     """
     group = np.cumsum(np.r_[True, (S[1:] != S[:-1]).any(axis=1)])
     kept, left = np.zeros(L.size, dtype=bool), np.ones(L.size, dtype=bool)
