@@ -78,23 +78,15 @@ def _load(args: argparse.Namespace) -> tuple[Tensor, dict]:
 
 
 def _spectrum_dict(spec: ParetoSpectrum) -> dict:
+    """The spectrum's rows, read off its arrays, with 1-based subsets and the off-support slacks."""
+    rows = zip(spec.eigenvalues.tolist(), spec.vectors != 0.0, spec.vectors, spec.residuals.tolist(), spec.slacks,
+               spec.boundary.tolist())
     items = [
-        {
-            "value": float(cert.value),
-            "subset": [int(i) + 1 for i in cert.subset],
-            "vector": _floats(cert.vector),
-            "residual": float(cert.pair.residual),
-            "slacks": _floats(cert.slacks),
-            "boundary": bool(cert.boundary),
-        }
-        for cert in spec.items
+        {"value": value, "subset": (np.flatnonzero(on) + 1).tolist(), "vector": y.tolist(), "residual": residual,
+         "slacks": slacks[~on].tolist(), "boundary": flag}
+        for value, on, y, residual, slacks, flag in rows
     ]
-    return {
-        "count": len(items),
-        "min_value": None if spec.min_value is None else float(spec.min_value),
-        "complete": bool(spec.complete),
-        "items": items,
-    }
+    return {"count": len(items), "min_value": spec.min_value, "complete": bool(spec.complete), "items": items}
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -170,9 +162,9 @@ def _match_values(found: list[float], wanted: list[float], tol: float) -> bool:
 
 def _vector_matches(spec: ParetoSpectrum, value: float, want: list[float]) -> bool:
     """Whether the pair nearest `value`, within _EXAMPLE_TOL, has the vector `want`."""
-    near = [cert for cert in spec.items if abs(cert.value - value) <= _EXAMPLE_TOL]
-    found = min(near, key=lambda cert: abs(cert.value - value), default=None)
-    return found is not None and bool(np.max(np.abs(found.vector - np.array(want))) <= _EXAMPLE_TOL)
+    gap = np.abs(spec.eigenvalues - value)
+    near = gap.size and gap.min() <= _EXAMPLE_TOL
+    return bool(near and np.abs(spec.vectors[gap.argmin()] - np.array(want)).max() <= _EXAMPLE_TOL)
 
 
 def _checks_grouped_quartic(t: Tensor, expected: dict, cfg: SolverConfig) -> list[dict]:

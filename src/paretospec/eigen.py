@@ -460,7 +460,7 @@ def _two_index(
     deg = np.where(family, 0, hi - lo)
     sep = np.sqrt(cfg.tol)
     owner, roots = [np.flatnonzero(family)], [np.ones(family.sum())]
-    for dd in np.unique(deg[deg > 0]):
+    for dd in np.flatnonzero(np.bincount(deg)[1:]) + 1:  # the degrees above 0; np.unique imports numpy.ma
         g = np.flatnonzero(deg == dd)
         coef = np.take_along_axis(q[g], lo[g, None] + np.arange(dd + 1), axis=1)
         comp = np.zeros((g.size, dd, dd))

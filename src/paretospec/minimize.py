@@ -175,8 +175,9 @@ def kkt_residual(t: Tensor, x: np.ndarray, kind: Kind) -> tuple[float, np.ndarra
     if x.min() < -_FEAS_TOL or abs(knorm(x, sph.k) - 1.0) > _FEAS_TOL:
         raise ValueError("infeasible point: needs x >= 0 on the unit sphere of the kind")
 
-    lambda_est = t.apply_full(x) / float(sph.level(x)) ** (t.order / sph.k)
-    y_est = t.apply_contract(x) - lambda_est * sph.rhs(x)
+    c, level = t.apply_contract(x), sph.level(x)
+    lambda_est = float(x @ c) / sph.norm_power(float(level))  # A x^m as `Tensor.apply_full` evaluates it
+    y_est = c - lambda_est * sph.rhs(x, level)
     residual = float(max(max(0.0, -y_est.min()), abs(float(x @ y_est))))
     return float(lambda_est), y_est, residual
 

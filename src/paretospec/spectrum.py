@@ -20,15 +20,17 @@ principal sub-tensor, solved by `solve_interior`.  The exact candidates of
 all cardinalities take one finalize pass as zero-filled vectors y on the
 parent, flushed whenever they fill a batch, and come back with
 A y^{m-1}, whose off-support entries are the complement slacks.  The
-multistart pairs of the batch join them, one mask admits rows, and only
-admitted rows become certificates.  A tensor of dimension 3 or less is
+multistart pairs of the batch join them and one mask admits rows.  The
+admitted rows of all batches, concatenated once, lose their cross-support
+duplicates in one pass and are the arrays of `ParetoSpectrum`, which
+builds the certificates from them.  A tensor of dimension 3 or less is
 solved exactly, up to the withdrawals of `solved_exhaustively`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,15 +74,42 @@ class SubsetCertificate:
 
 @dataclass(frozen=True)
 class ParetoSpectrum:
-    """All certificates found for one kind, ordered by (|subset|, subset, value)."""
+    """All certificates found for one kind, ordered by (|subset|, subset, value).
+
+    Row r of the arrays is items[r]: its zero-filled vector, nonzero on the
+    support, value, residual, A y^{m-1} - value * rhs(y) with 0 on the
+    support, and boundary flag.  `min_value` is the first smallest value.
+    """
 
     kind: Kind
-    items: tuple[SubsetCertificate, ...]
-    min_value: float | None
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+    slacks: np.ndarray
+    boundary: np.ndarray
     complete: bool
+    items: tuple[SubsetCertificate, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # one reshape per support size; certificates hold views of the rows
+        on, n = self.vectors != 0.0, self.vectors.shape[1]
+        size, items = on.sum(axis=1), []
+        for c in np.flatnonzero(np.bincount(size)).tolist():
+            a, b = np.searchsorted(size, [c, c + 1]).tolist()
+            Y, at = self.vectors[a:b], on[a:b]
+            rows = zip(np.nonzero(at)[1].reshape(-1, c).tolist(), Y[at].reshape(-1, c), Y,
+                       self.slacks[a:b][~at].reshape(b - a, n - c), self.eigenvalues[a:b].tolist(),
+                       self.residuals[a:b].tolist(), self.boundary[a:b].tolist())
+            items.extend(SubsetCertificate(tuple(subset), EigenPair(value, w, self.kind, residual), y, off, flag)
+                         for subset, w, y, off, value, residual, flag in rows)
+        object.__setattr__(self, "items", tuple(items))
+
+    @property
+    def min_value(self) -> float | None:
+        return float(self.eigenvalues[self.eigenvalues.argmin()]) if self.eigenvalues.size else None
 
     def values(self) -> list[float]:
-        return [c.value for c in self.items]
+        return self.eigenvalues.tolist()
 
 
 def complement_slacks(t: Tensor, subset, w: np.ndarray) -> np.ndarray:
@@ -119,8 +148,7 @@ def pareto_spectrum(
             f"2^{t.dim} principal sub-tensors"
         )
     cfg = config if config is not None else SolverConfig()
-    items: list[SubsetCertificate] = []
-    complete = True
+    complete, admitted = True, []
     for (Y, L, res, slacks), exhaustive, multistart in solve_closed_forms(t, kind, cfg):
         complete &= exhaustive
         found = [(s, pair) for s in multistart for pair in solve_interior(t.principal_subtensor(s), kind, cfg)]
@@ -133,29 +161,25 @@ def pareto_spectrum(
             Y, L, res, slacks = Y[order], L[order], res[order], slacks[order]
         # A y^{m-1} holds the slacks off the support, which is where Y is
         # nonzero: every support entry exceeds POS_TOL
-        on = Y != 0.0
-        slacks[on] = 0.0
+        slacks[Y != 0.0] = 0.0
         keep = ~(slacks < -slack_tol).any(axis=1)
-        Y, on, slacks = Y[keep], on[keep], slacks[keep]
-        boundary = _boundary(t, Y, slacks)
-        suspect = np.where(on, Y, 1.0).min(axis=1) <= VECTOR_DEDUP_TOL  # the only rows `_duplicates_kept` can match
-        L, res, size, n = L[keep], res[keep], on.sum(axis=1), t.dim
-        # the rows of one support size are contiguous, and so are their
-        # vectors and complement slacks in the flat arrays below: rows a:b
-        # take entries p:q of W and a*n - p:b*n - q of the slacks
-        W, slacks, p = Y[on], slacks[~on], 0
-        for c in np.flatnonzero(np.bincount(size)).tolist():
-            a, b = np.searchsorted(size, [c, c + 1]).tolist()
-            q = p + (b - a) * c
-            rows = zip(np.nonzero(on[a:b])[1].reshape(-1, c).tolist(), W[p:q].reshape(-1, c), Y[a:b],
-                       slacks[a * n - p : b * n - q].reshape(b - a, -1), L[a:b].tolist(), res[a:b].tolist(),
-                       boundary[a:b].tolist(), suspect[a:b].tolist())
-            for subset, w, y, off, value, residual, flag, near in rows:
-                if not (near and _duplicates_kept(items, value, y, cfg.dedup_tol)):
-                    items.append(SubsetCertificate(tuple(subset), EigenPair(value, w, kind, residual), y, off, flag))
-            p = q
-    min_value = min((c.value for c in items), default=None)
-    return ParetoSpectrum(kind=kind, items=tuple(items), min_value=min_value, complete=complete)
+        Y, slacks = Y[keep], slacks[keep]
+        admitted.append((Y, L[keep], res[keep], slacks, _boundary(t, Y, slacks)))
+    # the batches come in subset order, so the rows are sorted by support
+    Y, L, res, slacks, boundary = (np.concatenate(arrays) for arrays in zip(*admitted))
+    del admitted  # the batches go before the certificates are built
+    # A row is dropped when it lies within dedup_tol in value and
+    # VECTOR_DEDUP_TOL in vector of an earlier kept row.  The solvers
+    # deduplicate each support, and an earlier row of another support is
+    # zero at an index of the row's support, so only a row with a support
+    # entry of at most VECTOR_DEDUP_TOL can match; only those are compared.
+    kept = np.ones(L.size, dtype=bool)
+    for r in np.flatnonzero(np.where(Y != 0.0, Y, 1.0).min(axis=1) <= VECTOR_DEDUP_TOL).tolist():
+        near = np.flatnonzero(kept[:r] & (np.abs(L[:r] - L[r]) <= cfg.dedup_tol))
+        kept[r] = not (np.abs(Y[near] - Y[r]).max(axis=1) <= VECTOR_DEDUP_TOL).any()
+    if not kept.all():
+        Y, L, res, slacks, boundary = Y[kept], L[kept], res[kept], slacks[kept], boundary[kept]
+    return ParetoSpectrum(kind, Y, L, res, slacks, boundary, complete)
 
 
 def _boundary(t: Tensor, Y: np.ndarray, slacks: np.ndarray) -> np.ndarray:
@@ -171,17 +195,6 @@ def _boundary(t: Tensor, Y: np.ndarray, slacks: np.ndarray) -> np.ndarray:
     if neg.size:
         flag[neg] = (slacks[neg] < -_BOUNDARY_EPS * t.contract_magnitude_batch(Y[neg])).any(axis=1)
     return flag
-
-
-def _duplicates_kept(items: list[SubsetCertificate], value: float, y: np.ndarray, dedup_tol: float) -> bool:
-    """Whether a kept item lies within dedup_tol of `value` and VECTOR_DEDUP_TOL of `y`.
-
-    Only a pair with a support entry of at most VECTOR_DEDUP_TOL can match:
-    pairs of one support are deduplicated by the solvers, and an earlier
-    item of another support lacks an index of the pair's support, where the
-    pair's entry faces a zero.
-    """
-    return any(abs(c.value - value) <= dedup_tol and np.abs(c.vector - y).max() <= VECTOR_DEDUP_TOL for c in items)
 
 
 @dataclass(frozen=True)
@@ -223,31 +236,18 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
     if np.abs(y).max() == 0.0:
         raise ValueError("vector must be nonzero")
 
-    nonneg_violation = float(max(0.0, -y.min()))
-
-    lhs = t.apply_full(y)
-    rhs = value * float(sph.level(y)) ** (t.order / sph.k)
-    value_violation = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-    slacks = t.apply_contract(y) - value * sph.rhs(y)
-    slack_violation = float(max(0.0, -slacks.min()))
-
-    failed = None
-    if nonneg_violation > tol:
-        failed = "nonnegativity"
-    elif value_violation > tol:
-        failed = "value-equation"
-    elif slack_violation > tol:
-        failed = "complement-slacks"
-    return VerifyReport(
-        ok=failed is None,
-        failed_condition=failed,
-        worst_violation=float(max(nonneg_violation, value_violation, slack_violation)),
-        nonneg_violation=nonneg_violation,
-        value_violation=float(value_violation),
-        slack_violation=slack_violation,
-        slacks=slacks,
-    )
+    c, level = t.apply_contract(y), sph.level(y)
+    lhs = float(y @ c)  # A y^m, as `Tensor.apply_full` evaluates it
+    rhs = value * sph.norm_power(float(level))
+    slacks = c - value * sph.rhs(y, level)
+    # in the order of the report's fields, which is the order of precedence
+    violations = {
+        "nonnegativity": float(max(0.0, -y.min())),
+        "value-equation": abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)),
+        "complement-slacks": float(max(0.0, -slacks.min())),
+    }
+    failed = next((name for name, v in violations.items() if v > tol), None)
+    return VerifyReport(failed is None, failed, max(violations.values()), *violations.values(), slacks)
 
 
 def min_pareto(
@@ -270,9 +270,8 @@ def min_pareto(
             stacklevel=2,
         )
     spec = pareto_spectrum(t, kind, config=config, slack_tol=slack_tol)
-    if not spec.items:
+    if spec.min_value is None:
         raise EmptySpectrumError(
             f"no Pareto {kind}-eigenpair found (dimension {t.dim}, order {t.order})"
         )
-    best = min(spec.items, key=lambda c: c.value)
-    return best.value, best.vector
+    return spec.min_value, spec.vectors[spec.eigenvalues.argmin()]

@@ -371,6 +371,10 @@ class Sphere:
     def level(self, W: np.ndarray) -> np.ndarray:
         return np.sum(_ipow(W, self.k), axis=-1)
 
+    def norm_power(self, level: float) -> float:
+        """level^(m/k), the k-norm to the m: A w^m = value * norm_power(level(w)) at a pair."""
+        return level ** (self.order / self.k)
+
     def rhs(self, W: np.ndarray, level: np.ndarray | None = None) -> np.ndarray:
         """rhs(w) per row; `level` is level(W) when the caller already has it."""
         m, k = self.order, self.k

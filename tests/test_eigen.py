@@ -8,6 +8,9 @@ here with numpy.roots).
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -343,6 +346,22 @@ def test_two_index_close_roots_withdraw_complete():
     t = build(3, 2, [((1, 0, 0), 1.1), ((1, 0, 1), -2.1), ((1, 1, 1), 1.0)])
     assert solved_exhaustively(t, "H") is True
     assert sorted(round(p.vector[1] / p.vector[0], 9) for p in solve_interior(t, "H")) == [1.0, 1.1]
+
+
+def test_spectrum_does_not_import_numpy_ma():
+    # On numpy 2.x the first np.unique imports numpy.ma (about 0.9 MB); the
+    # README quickstart tensor, shifted_cubic, takes the 2-index route
+    code = ("import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+            "from paretospec import fixtures, pareto_spectrum\n"
+            "for kind in 'HZ': pareto_spectrum(fixtures.shifted_cubic()[0], kind)\n"
+            "sys.exit(4 if 'numpy.ma' in sys.modules else 0)\n")
+    src = os.path.dirname(os.path.dirname(eigen_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    status = subprocess.run([sys.executable, "-c", code], env=env).returncode
+    if status == 3:
+        pytest.skip("import numpy loads numpy.ma on this numpy")
+    assert status == 0
 
 
 def test_newton_route_agrees_with_diagonal_closed_form():

@@ -313,6 +313,31 @@ def test_duplicate_policy_keeps_smaller_subset():
     assert 0.0 < near_one[0].vector[1] <= VECTOR_DEDUP_TOL
 
 
+def test_certificates_are_the_array_rows():
+    # a dense order-3 tensor of dimension 4 mixes exact rows of sizes 2 and 3
+    # with multistart rows of size 4, and the matrix's singleton (0,) is
+    # admitted on the boundary
+    cases = [random_symmetric_tensor(np.random.default_rng(4), 3, 4),
+             _matrix_tensor(np.array([[1.0, 0.2, 0.1], [-1e-10, 2.0, 0.3], [0.0, 0.4, 3.0]]))]
+    for t in cases:
+        for kind in ("H", "Z"):
+            spec = pareto_spectrum(t, kind, FAST)
+            assert len(spec.items) == len(spec.vectors) > 0
+            assert type(spec.min_value) is float and type(spec.values()[0]) is float
+            for r, c in enumerate(spec.items):
+                on = spec.vectors[r] != 0.0
+                assert c.subset == tuple(np.flatnonzero(on).tolist())
+                assert c.value == c.pair.value == spec.eigenvalues[r] and type(c.value) is float
+                assert c.pair.residual == spec.residuals[r] and type(c.pair.residual) is float
+                assert c.boundary is bool(spec.boundary[r])
+                assert np.shares_memory(c.vector, spec.vectors)
+                for got, want in ((c.vector, spec.vectors[r]), (c.pair.vector, spec.vectors[r][on]),
+                                  (c.slacks, spec.slacks[r][~on])):
+                    assert got.tobytes() == want.tobytes()
+                assert not spec.slacks[r][on].any()
+    assert any(c.boundary for c in spec.items)
+
+
 def test_items_sorted_by_cardinality_then_subset():
     t, _ = fixtures.shifted_cubic()
     spec = pareto_spectrum(t, "H", FAST)
@@ -349,6 +374,14 @@ def test_min_pareto_returns_smallest_certificate():
     want = min(lam for lam, _ in cubic_h_oracle())
     assert val == pytest.approx(want, abs=1e-9)
     assert vec.min() > 0  # attained on the full subset here
+    # value 1 on (1,), (2,) and, as the representative of a family, (1, 2):
+    # the first of the tied rows is taken
+    t = build(3, 3, [((0, 0, 0), 2.0), ((1, 1, 1), 1.0), ((2, 2, 2), 1.0)])
+    spec = pareto_spectrum(t, "H", FAST)
+    assert spec.values().count(1.0) == 3
+    val, vec = min_pareto(t, "H", FAST)
+    assert val == spec.min_value == 1.0
+    assert vec.tobytes() == spec.items[spec.values().index(1.0)].vector.tobytes() == np.eye(3)[1].tobytes()
 
 
 def test_min_pareto_warns_on_nonsymmetric():
@@ -414,55 +447,61 @@ def _matrix_tensor(m):
 
 
 def _equivalence_cases():
+    """(name, tensor, slack_tol) per case."""
+    tol = DEFAULT_SLACK_TOL
     rng = np.random.default_rng(77)
     sym = rng.uniform(-1, 1, size=(5, 5))
     # Perron-like: a positive eigenvector on most subsets, complex pairs on some
     nonsym = rng.uniform(0.0, 1.0, size=(5, 5)) - 0.3 * np.eye(5)
-    yield "matrix-symmetric", _matrix_tensor((sym + sym.T) / 2)
+    yield "matrix-symmetric", _matrix_tensor((sym + sym.T) / 2), tol
     # Eigenvalue 1 is repeated on every principal sub-matrix of size >= 3, so
     # those withdraw `complete`.  Its eigenspace, the vectors summing to zero,
     # holds no nonnegative vector.
-    yield "matrix-repeated-eigenvalue", _matrix_tensor(np.eye(5) + 0.1 * np.ones((5, 5)))
+    yield "matrix-repeated-eigenvalue", _matrix_tensor(np.eye(5) + 0.1 * np.ones((5, 5))), tol
     # Here the repeated eigenspace u-perp meets faces of the orthant: pairs on
     # (0, 2) and (1, 2) have slacks that are zero in exact arithmetic, and the
     # two routes round them to opposite signs.
     u = np.array([1.0, 1.0, -2.0, 0.5])
-    yield "matrix-repeated-eigenvalue-on-a-face", _matrix_tensor(np.eye(4) - 0.1 * np.outer(u, u))
-    yield "matrix-nonsymmetric", _matrix_tensor(nonsym)
+    yield "matrix-repeated-eigenvalue-on-a-face", _matrix_tensor(np.eye(4) - 0.1 * np.outer(u, u)), tol
+    yield "matrix-nonsymmetric", _matrix_tensor(nonsym), tol
     # the singleton (0,) is admitted with the tolerated slack -1e-10
-    yield "matrix-boundary", _matrix_tensor(np.array([[1.0, 0.2, 0.1], [-1e-10, 2.0, 0.3], [0.0, 0.4, 3.0]]))
+    yield "matrix-boundary", _matrix_tensor(np.array([[1.0, 0.2, 0.1], [-1e-10, 2.0, 0.3], [0.0, 0.4, 3.0]])), tol
     for order, d in (
         (3, [1.5, 1.5, 1.5, 1.5, 1.5]),
         (3, [0.0, 0.0, 2.0, 0.0, -1.0]),
         (4, [1.0, -2.0, 0.5, 3.0, -0.25]),
         (5, [2.0, 2.0, -1.0, 0.0, 0.75]),
     ):
-        yield f"diagonal-m{order}-{d}", build(order, 5, [((i,) * order, v) for i, v in enumerate(d)])
+        yield f"diagonal-m{order}-{d}", build(order, 5, [((i,) * order, v) for i, v in enumerate(d)]), tol
     # off-diagonal slices only on {0, 1} and {1, 2, 3}: subsets without 0 and 1
     # together and without 1, 2 and 3 together stay diagonal
     yield "sparse-m3", build(
         3, 4, [((0, 0, 0), 1.0), ((1, 1, 1), 2.0), ((2, 2, 2), -1.0), ((3, 3, 3), 0.5),
-               ((0, 0, 1), -0.7), ((1, 2, 3), 0.4)], symmetrize=True)
+               ((0, 0, 1), -0.7), ((1, 2, 3), 0.4)], symmetrize=True), tol
     yield "sparse-m4", build(
         4, 4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 1.0), ((2, 2, 2, 2), 2.0), ((3, 3, 3, 3), 3.0),
-               ((0, 1, 1, 1), -0.5), ((2, 2, 3, 3), 0.3)], symmetrize=True)
+               ((0, 1, 1, 1), -0.5), ((2, 2, 3, 3), 0.3)], symmetrize=True), tol
     # every cardinality of dimensions 8 and 9 in one pass, c >= 8 included,
     # where numpy's row sums turn pairwise: the positive matrix admits its
     # Perron pair on each of its 511 subsets, and the Z-spectrum of the
     # positive diagonal a pair on each of its 255
     big = rng.uniform(0, 1, size=(9, 9))
-    yield "matrix-symmetric-n9", _matrix_tensor((big + big.T) / 2)
-    yield "diagonal-m4-n8-positive", build(4, 8, [((i,) * 4, float(v)) for i, v in enumerate(rng.uniform(0.5, 2, 8))])
+    yield "matrix-symmetric-n9", _matrix_tensor((big + big.T) / 2), tol
+    yield "diagonal-m4-n8-positive", build(4, 8, [((i,) * 4, float(v)) for i, v in enumerate(rng.uniform(0.5, 2, 8))]), tol
+    # the pair of (0, 1) duplicates the singleton (0,), admitted by its slack
+    # -1e-7 at this slack_tol only, so the cross-support dedup drops it; at
+    # one-subset chunks the two come in different batches
+    yield "matrix-cross-support-duplicate", _matrix_tensor(np.array([[1.0, -1e-7], [-1e-7, 2.0]])), 1e-6
 
 
 @pytest.mark.parametrize("batch_cells", [None, 1, 200], ids=["default-chunks", "one-subset-chunks", "small-chunks"])
 def test_batched_spectrum_matches_per_subset_reference(monkeypatch, batch_cells):
     if batch_cells is not None:
         monkeypatch.setattr(eigen_mod, "_BATCH_CELLS", batch_cells)
-    for name, t in _equivalence_cases():
+    for name, t, slack_tol in _equivalence_cases():
         for kind in ("H", "Z"):
-            want, want_complete = _reference_spectrum(t, kind, FAST)
-            spec = pareto_spectrum(t, kind, FAST)
+            want, want_complete = _reference_spectrum(t, kind, FAST, slack_tol)
+            spec = pareto_spectrum(t, kind, FAST, slack_tol)
             where = f"{name} {kind}"
             assert [(c.subset, c.boundary) for c in spec.items] == [(w[0], w[4]) for w in want], where
             for c, (_, value, vector, slacks, _) in zip(spec.items, want):
