@@ -310,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="H, Z or both (default both; copositive requires the two to agree)")
     document = argparse.ArgumentParser(add_help=False)
     document.add_argument("file", help="JSON tensor document")
+    slack = argparse.ArgumentParser(add_help=False)
+    slack.add_argument("--slack-tol", type=float, default=DEFAULT_SLACK_TOL,
+                       help="tolerance on complement slacks (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="paretospec",
@@ -317,11 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[document, kinds, out, solver],
+    p = sub.add_parser("spectrum", parents=[document, kinds, out, solver, slack],
                        help="enumerate the Pareto spectrum of a tensor document")
     p.set_defaults(run=_cmd_spectrum)
-    p.add_argument("--slack-tol", type=float, default=DEFAULT_SLACK_TOL,
-                   help="tolerance on complement slacks (default 1e-9)")
 
     p = sub.add_parser("minimize", parents=[document, kinds, out, solver],
                        help="minimize the tensor form over the nonnegative unit sphere")
@@ -330,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the smallest value over a simplex grid of this "
                         "resolution, an upper bound on the minimum")
 
-    p = sub.add_parser("copositive", parents=[document, kinds, out, solver],
+    p = sub.add_parser("copositive", parents=[document, kinds, out, solver, slack],
                        help="classify copositivity from the Pareto spectrum")
     p.set_defaults(run=_cmd_copositive)
-    p.add_argument("--slack-tol", type=float, default=DEFAULT_SLACK_TOL)
     p.add_argument("--zero-band", type=float, default=DEFAULT_ZERO_BAND,
                    help="half-width of the boundary band around zero (default 1e-7)")
 

@@ -12,7 +12,6 @@ Both are square polynomial systems in (w, lambda) once the normalization row
 is appended.  One route table, `_closed_form`, decides how each sub-problem
 is solved, and special structure is solved exactly:
 
-  * d = 1: the single diagonal coefficient with w = (1).
   * m = 2: dense eigendecomposition; the two kinds coincide.
   * diagonal tensors, m >= 3, any d: closed forms (H-pairs exist only when
     all diagonal entries are equal; Z-pairs exactly when they share a
@@ -34,8 +33,8 @@ These exact routes also solve all principal sub-tensors of one parent at
 once (`solve_closed_forms`), without building one: the candidates of every
 size become zero-filled rows on the parent, and one `_finalize` pass reads
 each sub-problem off the parent's contraction there, its polish gathering
-the rows of each support size.  The singleton, matrix and diagonal roots
-are exact up to rounding and skip the polish.
+the rows of each support size.  The matrix and diagonal roots are exact up
+to rounding and skip the polish.
 
 The route table runs no multistart: it marks the rows that need it (d >= 4
 and not diagonal, or an uncertified d = 3), and `solve_interior` is the one
@@ -226,16 +225,16 @@ def solve_closed_forms(
         # 2(m-1), a 3-index one up to the generic root count and any other
         # at most one
         per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
-        # the scan of `_off_diagonal`: order cells per nonzero cell of t._P
+        # the mask gather of `_off_diagonal`: order cells per nonzero cell of t._P
         subset_cells = t.order * np.count_nonzero(t._P) if t.order > 2 else 0
         if size == 3 and t.order > 2:
-            # three charts per 3-index row: a scan of the monomials' m-1
-            # indices, the Sylvester coefficients before and after the
-            # rotation, and the complex (two cells a number) companion
-            # matrix of size ns D
+            # per 3-index row one gather of the mask at the monomials' m-1
+            # indices, then three charts: the Sylvester coefficients before
+            # and after the rotation, and the complex (two cells a number)
+            # companion matrix of size ns D
             ns, D = _sylvester_shape(sph)
             per_subset = _generic_count(sph, 3)
-            subset_cells += 3 * ((t.order - 1) * t._mono.shape[0] + 2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
+            subset_cells += (t.order - 1) * t._mono.shape[0] + 3 * (2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
         step = max(1, _BATCH_CELLS // (per_subset * row_cells + subset_cells))
         for lo in range(0, subsets.shape[0], step):
             chunk = subsets[lo : lo + step]
@@ -320,14 +319,12 @@ def _matrix(t: Tensor) -> np.ndarray:
     return M
 
 
-def _off_diagonal(t: Tensor, subsets: np.ndarray) -> np.ndarray:
-    """Per row of `subsets`, whether an off-diagonal slice of t has all its indices in the row.
+def _off_diagonal(t: Tensor, member: np.ndarray) -> np.ndarray:
+    """Per row of the support mask `member`, whether an off-diagonal slice of t has all its indices in the row.
 
     The rows without one give diagonal principal sub-tensors: one gather of
     order cells per off-diagonal slice and row.
     """
-    member = np.zeros((subsets.shape[0], t.dim), dtype=bool)
-    member[np.arange(subsets.shape[0])[:, None], subsets] = True
     return member[:, t._off_diagonal_slices].all(axis=2).any(axis=1)
 
 
@@ -341,25 +338,22 @@ def _closed_form(
     `_polish`; per row whether its sub-problem is solved exhaustively and
     whether it needs multistart, which is left to the caller.  All rows
     have one size c and are routed so:
-      * c = 1: the value a_{i...i} with w = (1).
       * order 2: eigendecomposition of the stacked principal sub-matrices;
         the H and Z systems coincide.  Eigenvectors are signed to a positive
         largest entry, and complex or non-positive ones are dropped.  The
         claim is withdrawn when two eigenvalues lie within the tolerance.
-      * order >= 3: `_off_diagonal` splits the rows.  Diagonal rows take
-        `_diagonal`.  The others take `_two_index` at c = 2 and
+      * order >= 3: one support mask of the rows feeds `_off_diagonal`,
+        which splits them, and the routes.  Diagonal rows (singletons too)
+        take `_diagonal`.  The others take `_two_index` at c = 2 and
         `_three_index` at c = 3, whose uncertified rows are marked for
         multistart with their exact candidates still returned; at c >= 4
         they are marked for multistart and get no candidate.
-    The singleton, matrix and diagonal candidates are exact up to rounding
-    and skip the polish; the 2- and 3-index ones come from companion
-    eigenvalues and take it.  A row marked for multistart is not exhaustive.
+    The matrix and diagonal candidates are exact up to rounding and skip
+    the polish; the 2- and 3-index ones come from companion eigenvalues and
+    take it.  A row marked for multistart is not exhaustive.
     """
     N, c = subsets.shape
     exhaustive, multistart = np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
-    if c == 1:
-        d = t.diagonal_entries()[subsets[:, 0]]
-        return np.arange(N), np.ones((N, 1)), d, np.zeros(N, dtype=bool), exhaustive, multistart
     if t.order == 2:
         M = _matrix(t)[subsets[:, :, None], subsets[:, None, :]]
         if t.symmetric:
@@ -376,7 +370,9 @@ def _closed_form(
         V = np.where(lead < 0, -V, V)
         rows, k = np.nonzero(real & (V.min(axis=2) > POS_TOL))
         return rows, V[rows, k], ev.real[rows, k], np.zeros(rows.size, dtype=bool), exhaustive, multistart
-    off = _off_diagonal(t, subsets)
+    member = np.zeros((N, t.dim), dtype=bool)  # the support mask: row r holds subsets[r]
+    member[np.arange(N)[:, None], subsets] = True
+    off = _off_diagonal(t, member)
     diagonal, rest = np.flatnonzero(~off), np.flatnonzero(off)
     parts = [(rest[:0], np.empty((0, c)), np.empty(0), np.empty(0, dtype=bool))]
     if diagonal.size:
@@ -385,7 +381,7 @@ def _closed_form(
     if c > 3:
         exhaustive[rest], multistart[rest] = False, True
     elif rest.size:
-        R, W, L, exhaustive[rest] = (_two_index if c == 2 else _three_index)(t, sph, subsets[rest], cfg)
+        R, W, L, exhaustive[rest] = (_two_index if c == 2 else _three_index)(t, sph, subsets[rest], member[rest], cfg)
         parts.append((rest[R], W, L, np.ones(R.size, dtype=bool)))
         if c == 3:
             multistart[rest] = ~exhaustive[rest]
@@ -402,8 +398,9 @@ def _diagonal(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, 
     whole sphere is a family.  For Z it forces d_i w_i^{m-2} = mu for all i,
     solvable exactly when the entries share a strict sign, with w_i
     proportional to |d_i|^(-1/(m-2)); when all entries are zero every vector
-    pairs with 0.  A family is reported by one representative and withdraws
-    the claim.  Returns (R, W, L, exhaustive) as `_two_index` does.
+    pairs with 0.  A family (not the point w = (1) of one index) is reported
+    by one representative and withdraws the claim.  Returns (R, W, L,
+    exhaustive) as `_two_index` does.
     """
     N, c = subsets.shape
     m = t.order
@@ -415,14 +412,15 @@ def _diagonal(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, 
     else:
         zero = (d == 0.0).all(axis=1)
         rows = np.flatnonzero(zero | (d > 0).all(axis=1) | (d < 0).all(axis=1))
-        u = np.where(zero[rows, None], 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
+        # u = 1 on one index too: w = (1) whatever the entry, and u * u cannot overflow
+        u = np.where(zero[rows, None] | (c == 1), 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
         W = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
         L, exhaustive = d[rows, 0] * W[:, 0] ** (m - 2), ~zero
-    return rows, W, L, exhaustive
+    return rows, W, L, exhaustive | (c == 1)
 
 
 def _two_index(
-    t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
+    t: Tensor, sph: Sphere, subsets: np.ndarray, member: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The `_closed_form` route for 2-index subsets (i, j) of an order m >= 3 tensor.
 
@@ -430,10 +428,10 @@ def _two_index(
     p_j(s) = value * rhs_j(w), with p_a(s) = (A w^{m-1})_a.  Eliminating the
     value leaves one polynomial, p_j - s^{m-1} p_i (H, degree <= 2(m-1)) or
     p_j - s p_i (Z, degree <= m), whose positive roots are the interior
-    pairs.  Monomial r of t._mono, when its indices lie in {i, j}, feeds
-    p_a with t._P[r, a] at the power of s that counts its j's.  Exact-zero
-    end coefficients are roots at w = (1, 0) or (0, 1), off the interior, so
-    they are divided out.  What is left takes one companion-matrix
+    pairs.  Monomial r of t._mono, when the support mask `member` holds its
+    indices, feeds p_a with t._P[r, a] at the power of s counting its j's.
+    Exact-zero end coefficients are roots at w = (1, 0) or (0, 1), off the
+    interior, so they are divided out.  What is left takes one companion-matrix
     eigensolve per degree, and a root is kept when its real part is positive
     and its imaginary part is within sqrt(tol) of its modulus: a double root
     comes back split by about the square root of the rounding, as a real or
@@ -444,11 +442,10 @@ def _two_index(
     its vector and value, and per row whether its sub-problem is exhaustive.
     """
     N, m = subsets.shape[0], t.order
-    i, j = subsets[:, :1], subsets[:, 1:]
-    rows, r = np.nonzero(((t._mono == i[:, :, None]) | (t._mono == j[:, :, None])).all(axis=2))
+    rows, r = np.nonzero(member[:, t._mono].all(axis=2))
     P = np.zeros((N, 2, m))  # P[n, a, k]: coefficient of s^k in p_a, a = 0 for i, 1 for j
-    P[rows, :, (t._mono[r] == j[rows]).sum(axis=1)] = t._P[r[:, None], subsets[rows]]
-    shift = m - 1 if sph.k == m else 1
+    P[rows, :, (t._mono[r] == subsets[rows, 1:]).sum(axis=1)] = t._P[r[:, None], subsets[rows]]
+    shift = sph.k - 1
     q = np.zeros((N, m + shift))  # ascending coefficients of p_j - s^shift p_i
     q[:, :m] += P[:, 1]
     q[:, shift:] -= P[:, 0]
@@ -498,11 +495,11 @@ def _generic_count(sph: Sphere, c: int) -> int:
 def _sylvester_shape(sph: Sphere) -> tuple[int, int]:
     """(ns, D) of `_three_index`: the Sylvester matrix's size and its degree in t."""
     m = sph.order
-    D = 2 * (m - 1) if sph.k == m else m
+    D = m + sph.k - 2
     return D + m - 1, D
 
 
-def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, syl): the chart polynomials and Sylvester matrices of `_three_index`.
 
     Both hold three charts of each row of `subsets`, batch row b being
@@ -510,12 +507,12 @@ def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray,
     s^i t^j in the eigen row p_a, a = 0, 1, 2 for the chart's (p, q, r), and
     syl[b, row, col, e] the coefficient of t^e in the Sylvester matrix of f
     and g in s: rows s^k f (k < m-1), then s^k g (k < D); column col for
-    s^col.
+    s^col.  The monomials of a row are those whose indices the support
+    mask `member` all holds.
     """
     m, N = t.order, subsets.shape[0]
-    at = t._mono[:, :, None] == subsets[:, None, None, :]  # (N, M, m-1, 3)
-    n, r = np.nonzero(at.any(axis=3).all(axis=2))
-    power = at[n, r].sum(axis=1)  # (R, 3): how often each local index is a factor
+    n, r = np.nonzero(member[:, t._mono].all(axis=2))
+    power = (t._mono[r, :, None] == subsets[n, None, :]).sum(axis=1)  # (R, 3): each local index's multiplicity
     coef = t._P[r[:, None], subsets[n]]  # (R, 3): the coefficient in each local row
     P = np.zeros((3, N, 3, m, m))
     for c, (_, q, rr) in enumerate(_CHARTS):
@@ -586,7 +583,7 @@ def _null_roots(syl: np.ndarray, b: np.ndarray, tr: np.ndarray) -> tuple[np.ndar
 
 
 def _three_index(
-    t: Tensor, sph: Sphere, subsets: np.ndarray, cfg: SolverConfig
+    t: Tensor, sph: Sphere, subsets: np.ndarray, member: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The `_closed_form` route for non-diagonal 3-index subsets of an order m >= 3 tensor.
 
@@ -616,7 +613,7 @@ def _three_index(
     in angle arctan(t).  Returns (R, W, L, exhaustive) as `_two_index` does.
     """
     m, N = t.order, subsets.shape[0]
-    P, syl = _sylvester(t, sph, subsets)
+    P, syl = _sylvester(t, sph, subsets, member)
     t_all, singular = _hidden_roots(syl)
     b, k = np.nonzero(np.abs(t_all) <= 1.0 + _PIVOT_MARGIN)
     tr = t_all[b, k]

@@ -14,16 +14,16 @@ completeness of the per-subset interior solver.
 
 `solve_closed_forms` routes the subsets of each cardinality through the
 route table (`eigen._closed_form`), which solves the sub-problems with an
-exact route (one to three indices, order 2, or a diagonal sub-tensor) on
-the parent tensor and marks the others for multistart; only those build a
-principal sub-tensor, solved by `solve_interior`.  The exact candidates of
-all cardinalities take one finalize pass as zero-filled vectors y on the
-parent, flushed whenever they fill a batch, and come back with
-A y^{m-1}, whose off-support entries are the complement slacks.  The
-multistart pairs of the batch join them and one mask admits rows.  The
-admitted rows of all batches, concatenated once, lose their cross-support
-duplicates in one pass and are the arrays of `ParetoSpectrum`, which
-builds the certificates from them.  A tensor of dimension 3 or less is
+exact route (order 2 or a diagonal sub-tensor, every singleton among them,
+or two or three coupled indices) on the parent tensor and marks the others
+for multistart; only those build a principal sub-tensor, solved by
+`solve_interior`.  The exact candidates of all cardinalities take one
+finalize pass as zero-filled vectors y on the parent, flushed whenever
+they fill a batch, and come back with A y^{m-1}, whose off-support entries
+are the complement slacks.  The multistart pairs of the batch join them
+and one mask admits rows.  The admitted rows of all batches, concatenated
+once, lose their cross-support duplicates in one pass and are the arrays
+of `ParetoSpectrum`, which builds the certificates from them.  A tensor of dimension 3 or less is
 solved exactly, up to the withdrawals of `solved_exhaustively`.
 """
 

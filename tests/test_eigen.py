@@ -396,8 +396,10 @@ def test_off_diagonal_scan_matches_principal_subtensors(order):
     for t in tensors:
         for card in range(1, t.dim + 1):
             subsets = np.array(list(itertools.combinations(range(t.dim), card)), dtype=np.intp)
+            member = np.zeros((subsets.shape[0], t.dim), dtype=bool)
+            member[np.arange(subsets.shape[0])[:, None], subsets] = True
             want = [not t.principal_subtensor(row).is_diagonal() for row in subsets]
-            assert _off_diagonal(t, subsets).tolist() == want, (t.slices, card)
+            assert _off_diagonal(t, member).tolist() == want, (t.slices, card)
     assert zero_slice.is_diagonal()
     for kind in ("H", "Z"):
         assert solved_exhaustively(zero_slice, kind) is True
@@ -429,7 +431,7 @@ def test_three_index_chart_finds_the_generic_root_count(kind, order):
     """
     t = random_symmetric_tensor(np.random.default_rng(1), order, 3)
     sph = Sphere(kind, order)
-    _, syl = _sylvester(t, sph, np.array([[0, 1, 2]]))
+    _, syl = _sylvester(t, sph, np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool))
     roots, singular = _hidden_roots(syl)
     assert not singular.any()
     ns, D = _sylvester_shape(sph)
@@ -642,6 +644,12 @@ def test_results_sorted_by_value_then_vector():
 def test_exhaustiveness_marker():
     for kind in ("H", "Z"):
         assert solved_exhaustively(build(5, 1, [((0,) * 5, 1.0)]), kind)
+        # one index is one point, never a family: a zero entry (the H family
+        # rule and the Z zero rule of the diagonal closed form), a negative
+        # one, and a 1 x 1 matrix through eigh
+        assert solved_exhaustively(build(3, 1, []), kind) is True
+        assert solved_exhaustively(build(4, 1, [((0,) * 4, -2.0)]), kind) is True
+        assert solved_exhaustively(build(2, 1, [((0, 0), -1.5)]), kind) is True
         assert solved_exhaustively(build(2, 2, [((0, 0), 1.0), ((0, 1), 0.5), ((1, 0), 0.5)]), kind)
         # a repeated eigenvalue: every positive vector pairs with 0
         assert not solved_exhaustively(build(2, 4, []), kind)

@@ -238,6 +238,29 @@ def test_diagonal_spectrum_is_complete():
         assert pareto_spectrum(t, kind).complete is True
 
 
+def test_singletons_take_the_one_index_matrix_and_diagonal_routes():
+    # a one-index sub-problem is the c = 1 case of the matrix route (order 2;
+    # a non-symmetric matrix goes through eig) or of the diagonal closed form
+    # (order >= 3, with a zero and a negative entry): its pair is (a_ii, e_i)
+    # bit for bit, 1e-200 included, whose 1e200 ** 2 would overflow in the Z
+    # closed form's norm.  Off-diagonal entries are nonnegative, so every
+    # singleton is admitted.
+    m = np.array([[-1.0, 2.0, 0.5], [0.25, 3.0, 1.0], [4.0, 0.0, 0.0]])
+    matrix = build(2, 3, [((i, j), float(m[i, j])) for i in range(3) for j in range(3)])
+    assert not matrix.symmetric
+    cubic = build(3, 4, [((1,) * 3, -1.5), ((2,) * 3, 0.5), ((3,) * 3, 2.0)])
+    quartic = build(4, 3, [((0,) * 4, -2.0), ((2,) * 4, 0.5)])
+    tiny = build(3, 1, [((0,) * 3, 1e-200)])
+    for t in (matrix, cubic, quartic, tiny):
+        d = t.diagonal_entries()
+        for kind in ("H", "Z"):
+            singles = [c for c in pareto_spectrum(t, kind).items if len(c.subset) == 1]
+            assert [c.subset for c in singles] == [(i,) for i in range(t.dim)]
+            for c in singles:
+                assert c.value == d[c.subset[0]]
+                assert c.vector.tobytes() == np.eye(t.dim)[c.subset[0]].tobytes()
+
+
 def test_repeated_matrix_eigenvalue_withdraws_complete():
     # eigenvalue 1 has the eigenspace u-perp, which holds a whole family of
     # positive vectors; eigh reports one basis vector of it
