@@ -32,9 +32,10 @@ is solved, and special structure is solved exactly:
 These exact routes also solve all principal sub-tensors of one parent at
 once (`solve_closed_forms`), without building one: the candidates of every
 size become zero-filled rows on the parent, and one `_finalize` pass reads
-each sub-problem off the parent's contraction there, its polish gathering
-the rows of each support size.  The matrix and diagonal roots are exact up
-to rounding and skip the polish.
+each sub-problem off the parent's contraction there.  Its polish solves
+every support size at once on the parent's system, masked to each row's
+support.  The matrix and diagonal roots are exact up to rounding and skip
+the polish.
 
 The route table runs no multistart: it marks the rows that need it (d >= 4
 and not diagonal, or an uncertified d = 3), and `solve_interior` is the one
@@ -208,7 +209,8 @@ def solve_closed_forms(
     sph = Sphere(kind, t.order)
     cfg = config if config is not None else SolverConfig()
     # Per row, t's kernels hold the placed dim^2 Jacobian, its touched
-    # cells, and one monomial product (and gather) per kernel
+    # cells, and one monomial product (and gather) per kernel; the polish
+    # solves a (dim+1)^2 system per row, whatever the row's support size
     mono, cells, _ = t._jacobian_tables
     row_cells = t.dim**2 + cells.size + mono.shape[0] + t._mono.shape[0]
     batch, rows, exhaustive, multistart = [], 0, True, []
@@ -227,11 +229,11 @@ def solve_closed_forms(
         per_subset = size if t.order == 2 else 2 * (t.order - 1) if size == 2 else 1
         # the mask gather of `_off_diagonal`: order cells per nonzero cell of t._P
         subset_cells = t.order * np.count_nonzero(t._P) if t.order > 2 else 0
-        if size == 3 and t.order > 2:
+        if size == 3 and t.order > 2 and t._off_diagonal_slices.size:
             # per 3-index row one gather of the mask at the monomials' m-1
             # indices, then three charts: the Sylvester coefficients before
             # and after the rotation, and the complex (two cells a number)
-            # companion matrix of size ns D
+            # companion matrix of size ns D; a diagonal tensor builds none
             ns, D = _sylvester_shape(sph)
             per_subset = _generic_count(sph, 3)
             subset_cells += (t.order - 1) * t._mono.shape[0] + 3 * (2 * ns * ns * (D + 1) + 2 * (ns * D) ** 2)
@@ -277,36 +279,14 @@ def _system_eval(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, C: np.nda
     return F
 
 
-def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray, JC: np.ndarray | None = None) -> np.ndarray:
-    """Jacobian of F; JC is t.contract_jacobian_batch(W) when the caller already has it."""
+def _system_jac(t: Tensor, sph: Sphere, W: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Jacobian of F."""
     B, d = W.shape
     J = np.zeros((B, d + 1, d + 1))
-    J[:, :d, :d] = (t.contract_jacobian_batch(W) if JC is None else JC) - L[:, None, None] * sph.rhs_jacobian(W)
+    J[:, :d, :d] = t.contract_jacobian_batch(W) - L[:, None, None] * sph.rhs_jacobian(W)
     J[:, :d, d] = -sph.rhs(W)
     J[:, d, :d] = sph.k * W ** (sph.k - 1)
     return J
-
-
-# -- principal sub-problems on the parent tensor ------------------------------
-#
-# Row r of a support array S (R, c) names the c indices of t on which row r
-# of W lives; the vector of t is zero elsewhere.  The interior system of the
-# principal sub-tensor on S[r] is then rows S[r] of t's contraction and the
-# S[r] x S[r] block of its Jacobian at that vector: every slice with an index
-# outside S[r] has a zero monomial there.
-
-
-def _support_system(
-    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """F of the sub-problems on S at (W, L), and t's contraction at the zero-filled rows."""
-    C = t.contract_batch(embed_rows(W, S, t.dim))
-    return _system_eval(t, sph, W, L, np.take_along_axis(C, S, axis=1)), C
-
-
-def _support_jac(t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray) -> np.ndarray:
-    JC = t.contract_jacobian_batch(embed_rows(W, S, t.dim))
-    return _system_jac(t, sph, W, L, JC[np.arange(W.shape[0])[:, None, None], S[:, :, None], S[:, None, :]])
 
 
 # -- closed-form routes -------------------------------------------------------
@@ -414,7 +394,13 @@ def _diagonal(t: Tensor, sph: Sphere, subsets: np.ndarray) -> tuple[np.ndarray, 
         rows = np.flatnonzero(zero | (d > 0).all(axis=1) | (d < 0).all(axis=1))
         # u = 1 on one index too: w = (1) whatever the entry, and u * u cannot overflow
         u = np.where(zero[rows, None] | (c == 1), 1.0, np.abs(d[rows])) ** (-1.0 / (m - 2))
-        W = u / np.sqrt(np.sum(u * u, axis=1))[:, None]
+        with np.errstate(over="ignore"):  # at order 3, u * u leaves the float range for |d| < 1e-154 or > 1e154
+            sq = np.sum(u * u, axis=1)
+        far = (sq < np.finfo(float).tiny) | (sq > np.finfo(float).max)
+        if far.any():
+            u[far] /= u[far].max(axis=1)[:, None]
+            sq[far] = np.sum(u[far] * u[far], axis=1)
+        W = u / np.sqrt(sq)[:, None]
         L, exhaustive = d[rows, 0] * W[:, 0] ** (m - 2), ~zero
     return rows, W, L, exhaustive | (c == 1)
 
@@ -750,27 +736,44 @@ def _newton_candidates(t: Tensor, sph: Sphere, cfg: SolverConfig) -> tuple[np.nd
 
 
 def _polish(
-    t: Tensor, sph: Sphere, S: np.ndarray, W: np.ndarray, L: np.ndarray, F: np.ndarray, C: np.ndarray
+    t: Tensor, sph: Sphere, on: np.ndarray, Y: np.ndarray, L: np.ndarray, F: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A couple of undamped Newton steps to tighten renormalized roots on supports S.
+    """A couple of undamped Newton steps to tighten renormalized roots, each on its support.
 
-    (F, C) is `_support_system` at (W, L).  Returns the new W and L, the
-    system F(W, L) there and t's contraction at the zero-filled rows.
+    Row r is zero-filled on t off the support mask on[r], and (F, C) are
+    t's system, zero at the eigen rows off the support, and contraction at
+    (Y, L).  The interior system of the principal sub-tensor on a support
+    is those rows of t's system, and its Jacobian their block of t's: every
+    monomial with an index off the support vanishes there.  So each step
+    zeroes the rows and the columns of t's Jacobian at the eigen rows off
+    the support and sets their diagonal to 1: it solves the support block
+    of every row at once, whatever its size, and the zeros of Y stay zero.
+    Masking the rows alone is not enough: partial pivoting takes a support
+    row as the pivot of an off-support column where a coupling entry
+    exceeds 1, and the zeros leak.  Returns the new Y and L, and F and C
+    there.
     """
-    c = S.shape[1]
+    n = Y.shape[1]
+    r, i = np.nonzero(~on)
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_STEPS):
-            step = _solve_steps(_support_jac(t, sph, S, W, L), F)
-            nW = W + step[:, :c]
-            nL = L + step[:, c]
-            better = np.isfinite(nW).all(axis=1) & np.isfinite(nL)
-            nF, nC = _support_system(t, sph, S, np.where(better[:, None], nW, W), np.where(better, nL, L))
+            J = _system_jac(t, sph, Y, L)
+            J[r, i, :], J[r, :, i] = 0.0, 0.0
+            J[r, i, i] = 1.0
+            step = _solve_steps(J, F)
+            nY = Y + step[:, :n]
+            nL = L + step[:, n]
+            better = np.isfinite(nY).all(axis=1) & np.isfinite(nL)
+            nY, nL = np.where(better[:, None], nY, Y), np.where(better, nL, L)
+            nC = t.contract_batch(nY)
+            nF = _system_eval(t, sph, nY, nL, nC)
+            nF[r, i] = 0.0
             take = better & (np.abs(nF).max(axis=1) <= np.abs(F).max(axis=1))
-            W = np.where(take[:, None], nW, W)
+            Y = np.where(take[:, None], nY, Y)
             L = np.where(take, nL, L)
             F = np.where(take[:, None], nF, F)
             C = np.where(take[:, None], nC, C)
-    return W, L, F, C
+    return Y, L, F, C
 
 
 def _support_key(on: np.ndarray) -> np.ndarray:
@@ -795,8 +798,8 @@ def _finalize(
 
     Candidate r is (L[r], Y[r]) on the support where Y[r] is nonzero, and
     supports of any sizes mix.  Only the rows marked in `polish` take
-    `_polish`, gathered as (S, W) per support size; the others are exact up
-    to rounding already.  Returns the rows that pass and survive
+    `_polish`, all in one call with their support mask; the others are
+    exact up to rounding already.  Returns the rows that pass and survive
     `_keep_first` as (Y, L, residual, C), C being t's contraction at Y,
     sorted by support (`_support_key`), then value, then vector.  A
     returned row's support entries exceed POS_TOL.
@@ -804,21 +807,15 @@ def _finalize(
     n, on = t.dim, Y != 0.0
     interior = np.where(on, Y, np.inf).min(axis=1) > POS_TOL
     Y, on, L = Y[interior], on[interior], L[interior]
-    polish = np.flatnonzero(polish[interior])
+    p = np.flatnonzero(polish[interior])  # the rows to polish
     if Y.shape[0] == 0:
         return Y, L, np.empty(0), np.empty((0, n))
     Y = sph.normalize(Y)
     C = t.contract_batch(Y)
     F = _system_eval(t, sph, Y, L, C)
     F[:, :n][~on] = 0.0  # C off the support holds complement slacks, not eigen rows
-    card = on.sum(axis=1)
-    for c in np.flatnonzero(np.bincount(card[polish])).tolist():
-        rows = polish[card[polish] == c]
-        S = np.nonzero(on[rows])[1].reshape(-1, c)
-        at = (rows[:, None], S)
-        FS = np.concatenate([F[at], F[rows, n:]], axis=1)
-        Y[at], L[rows], FS, C[rows] = _polish(t, sph, S, Y[at], L[rows], FS, C[rows])
-        F[at], F[rows, n] = FS[:, :c], FS[:, c]
+    if p.size:
+        Y[p], L[p], F[p], C[p] = _polish(t, sph, on[p], Y[p], L[p], F[p], C[p])
 
     with np.errstate(all="ignore"):
         res = np.abs(F).max(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import paretospec.eigen as eigen_mod
-from paretospec import fixtures, pareto_spectrum
+from paretospec import fixtures, pareto_spectrum, verify_pareto_pair
 from paretospec.eigen import (
     POS_TOL,
     EigenPair,
@@ -29,6 +29,7 @@ from paretospec.eigen import (
     VECTOR_DEDUP_TOL,
     _MAX_HALVINGS,
     _backtrack,
+    _closed_form,
     _finalize,
     _generic_count,
     _hidden_roots,
@@ -44,7 +45,7 @@ from paretospec.eigen import (
     _system_jac,
 )
 from paretospec.minimize import _MAX_BACKTRACKS
-from paretospec.tensor import Sphere, Tensor, build, knorm
+from paretospec.tensor import Sphere, Tensor, build, embed_rows, knorm
 
 from conftest import dense_contract, dense_from_entries, dense_symmetrize, random_entries, random_symmetric_tensor
 
@@ -148,6 +149,17 @@ def test_diagonal_z_pair_same_sign_closed_form():
     pairs = solve_interior(t_neg, "Z")
     assert len(pairs) == 1
     assert pairs[0].value == pytest.approx(-2.0 / 3.0, abs=1e-12)
+
+    # order 3 at far scales, where the squares of w_i ~ 1 / d_i leave the
+    # float range: the value scales with the entries, 2 / sqrt(5) at scale 1
+    for scale in (1e-200, 1e200):
+        t_far = build(3, 2, [((0,) * 3, scale), ((1,) * 3, 2 * scale)])
+        pairs = solve_interior(t_far, "Z")
+        assert len(pairs) == 1
+        assert pairs[0].value == pytest.approx(scale * 2 / np.sqrt(5), rel=1e-12)
+        [cert] = [c for c in pareto_spectrum(t_far, "Z").items if c.subset == (0, 1)]
+        assert cert.value == pytest.approx(scale * 2 / np.sqrt(5), rel=1e-12)
+        assert verify_pareto_pair(t_far, cert.value, cert.vector, "Z").ok
 
 
 def test_diagonal_z_mixed_sign_or_partial_zero_has_no_interior_pair():
@@ -492,6 +504,37 @@ def test_three_index_family_falls_back_to_multistart(monkeypatch):
     for p in pairs:
         assert p.value == pytest.approx(1.0, abs=1e-10)
         assert residual(t, p) <= FAST.tol
+
+
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_masked_polish_keeps_each_support(kind):
+    # coupling entries far above 1: where the polish masked only the eigen
+    # rows off the support, partial pivoting would take a support row as the
+    # pivot of an off-support column and the zeros would leak
+    rng = np.random.default_rng(12)
+    entries = [(key, float(rng.uniform(-1.0, 1.0)) * (0.1 if len(set(key)) == 1 else 10.0))
+               for key in itertools.combinations_with_replacement(range(5), 3)]
+    t = build(3, 5, entries, symmetrize=True)
+    sph = Sphere(kind, 3)
+    Ys, Ls, want = [], [], {}
+    for size in (2, 3):
+        subsets = np.array(list(itertools.combinations(range(5), size)))
+        R, W, L, _, exhaustive, _ = _closed_form(t, sph, subsets, FAST)
+        keep = exhaustive[R] & (W.min(axis=1) > POS_TOL)
+        Ys.append(embed_rows(W[keep], subsets[R[keep]], 5))
+        Ls.append(L[keep])
+        want.update((tuple(s), solve_interior(t.principal_subtensor(s), kind)) for s in subsets[exhaustive].tolist())
+    Y, L = np.concatenate(Ys), np.concatenate(Ls)
+    assert {np.count_nonzero(y) for y in Y} == {2, 3}
+    # every support size polished in one call, from 1e-7 off the roots
+    Y = Y * (1.0 + 1e-7 * rng.standard_normal(Y.shape))
+    Y, L, _, _ = _finalize(t, sph, Y, L, np.ones(L.size, dtype=bool), FAST)
+    got = {}
+    for y, value in zip(Y, L):  # a row's support is where it is nonzero: exact 0.0 elsewhere
+        got.setdefault(tuple(np.flatnonzero(y).tolist()), []).append(value)
+    assert got.keys() == {s for s, pairs in want.items() if pairs}
+    for s, vals in got.items():
+        np.testing.assert_allclose(vals, [p.value for p in want[s]], rtol=0, atol=1e-12)
 
 
 def test_solved_exhaustively_runs_no_multistart(monkeypatch):
