@@ -62,6 +62,7 @@ rows, which the loop carries on: the steps a rung-by-rung loop would take.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -520,6 +521,20 @@ def _sylvester(t: Tensor, sph: Sphere, subsets: np.ndarray, member: np.ndarray) 
     return P, syl
 
 
+@functools.cache
+def _rotation(D: int) -> np.ndarray:
+    """R[e, k]: coefficient of tau^k in (tau cos a - sin a)^e (tau sin a + cos a)^(D - e), a = _ROTATION; read-only."""
+    co, si = np.cos(_ROTATION), np.sin(_ROTATION)
+    R = np.zeros((D + 1, D + 1))
+    for e in range(D + 1):
+        poly = np.ones(1)
+        for factor in [(-si, co)] * e + [(co, si)] * (D - e):
+            poly = np.convolve(poly, factor)
+        R[e] = poly
+    R.flags.writeable = False
+    return R
+
+
 def _hidden_roots(syl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(roots, singular): every t at which the Sylvester matrices syl are singular.
 
@@ -533,13 +548,7 @@ def _hidden_roots(syl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B, ns, _, D1 = syl.shape
     D = D1 - 1
     co, si = np.cos(_ROTATION), np.sin(_ROTATION)
-    R = np.zeros((D + 1, D + 1))  # R[e, k]: coefficient of tau^k in (tau co - si)^e (tau si + co)^(D - e)
-    for e in range(D + 1):
-        poly = np.ones(1)
-        for factor in [(-si, co)] * e + [(co, si)] * (D - e):
-            poly = np.convolve(poly, factor)
-        R[e] = poly
-    rot = np.einsum("brce,ek->bkrc", syl, R)
+    rot = np.einsum("brce,ek->bkrc", syl, _rotation(D))
     sv = np.linalg.svd(rot[:, D], compute_uv=False)
     singular = ~(sv[:, -1] > _SINGULAR * sv[:, 0])
     rot[singular, D] = np.eye(ns)
@@ -761,6 +770,7 @@ def _polish(
             J[r, i, :], J[r, :, i] = 0.0, 0.0
             J[r, i, i] = 1.0
             step = _solve_steps(J, F)
+            step[r, i] = 0.0  # _solve_steps' lstsq fallback for a singular row need not keep the blocks
             nY = Y + step[:, :n]
             nL = L + step[:, n]
             better = np.isfinite(nY).all(axis=1) & np.isfinite(nL)

@@ -23,14 +23,17 @@ they fill a batch, and come back with A y^{m-1}, whose off-support entries
 are the complement slacks.  The multistart pairs of the batch join them
 and one mask admits rows.  The admitted rows of all batches, concatenated
 once, lose their cross-support duplicates in one pass and are the arrays
-of `ParetoSpectrum`, which builds the certificates from them.  A tensor of dimension 3 or less is
-solved exactly, up to the withdrawals of `solved_exhaustively`.
+of `ParetoSpectrum`, which builds the certificates from them on the first
+read of its `items`.  A tensor of dimension 3 or less is solved exactly,
+up to the withdrawals of `solved_exhaustively`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +82,8 @@ class ParetoSpectrum:
     Row r of the arrays is items[r]: its zero-filled vector, nonzero on the
     support, value, residual, A y^{m-1} - value * rhs(y) with 0 on the
     support, and boundary flag.  `min_value` is the first smallest value.
+    The certificates are built from the rows on the first read of `items`
+    and kept; `values()` and `min_value` read the arrays and build none.
     """
 
     kind: Kind
@@ -88,9 +93,10 @@ class ParetoSpectrum:
     slacks: np.ndarray
     boundary: np.ndarray
     complete: bool
-    items: tuple[SubsetCertificate, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def items(self) -> tuple[SubsetCertificate, ...]:
+        """The certificates of the rows, in row order, built on first read and kept."""
         # one reshape per support size; certificates hold views of the rows
         on, n = self.vectors != 0.0, self.vectors.shape[1]
         size, items = on.sum(axis=1), []
@@ -102,7 +108,7 @@ class ParetoSpectrum:
                        self.residuals[a:b].tolist(), self.boundary[a:b].tolist())
             items.extend(SubsetCertificate(tuple(subset), EigenPair(value, w, self.kind, residual), y, off, flag)
                          for subset, w, y, off, value, residual, flag in rows)
-        object.__setattr__(self, "items", tuple(items))
+        return tuple(items)
 
     @property
     def min_value(self) -> float | None:
@@ -167,7 +173,7 @@ def pareto_spectrum(
         admitted.append((Y, L[keep], res[keep], slacks, _boundary(t, Y, slacks)))
     # the batches come in subset order, so the rows are sorted by support
     Y, L, res, slacks, boundary = (np.concatenate(arrays) for arrays in zip(*admitted))
-    del admitted  # the batches go before the certificates are built
+    del admitted  # the batches go before the dedup copies the rows
     # A row is dropped when it lies within dedup_tol in value and
     # VECTOR_DEDUP_TOL in vector of an earlier kept row.  The solvers
     # deduplicate each support, and an earlier row of another support is
@@ -228,12 +234,13 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (t.dim,):
         raise ValueError(f"vector shape {y.shape} incompatible with dimension {t.dim}")
-    if not np.isfinite(y).all():
+    lo, hi = y.min(), y.max()  # NaN and +-inf reach one of them
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("vector has non-finite entries")
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("value must be finite")
-    if np.abs(y).max() == 0.0:
+    if lo == 0.0 == hi:
         raise ValueError("vector must be nonzero")
 
     c, level = t.apply_contract(y), sph.level(y)
@@ -242,7 +249,7 @@ def verify_pareto_pair(t: Tensor, value: float, y: np.ndarray, kind: Kind, tol: 
     slacks = c - value * sph.rhs(y, level)
     # in the order of the report's fields, which is the order of precedence
     violations = {
-        "nonnegativity": float(max(0.0, -y.min())),
+        "nonnegativity": float(max(0.0, -lo)),
         "value-equation": abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)),
         "complement-slacks": float(max(0.0, -slacks.min())),
     }

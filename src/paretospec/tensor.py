@@ -369,7 +369,7 @@ class Sphere:
         return self.order if self.kind == "H" else 2
 
     def level(self, W: np.ndarray) -> np.ndarray:
-        return np.sum(_ipow(W, self.k), axis=-1)
+        return _ipow(W, self.k).sum(axis=-1)
 
     def norm_power(self, level: float) -> float:
         """level^(m/k), the k-norm to the m: A w^m = value * norm_power(level(w)) at a pair."""

@@ -38,6 +38,7 @@ from paretospec.eigen import (
     _newton_candidates,
     _null_roots,
     _off_diagonal,
+    _rotation,
     _solve_steps,
     _sylvester,
     _sylvester_shape,
@@ -431,6 +432,13 @@ def _complex_contract(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def test_rotation_is_shared_and_read_only():
+    R = _rotation(6)
+    assert R is _rotation(6) and R.shape == (7, 7)
+    with pytest.raises(ValueError, match="read-only"):
+        R[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("kind", ["H", "Z"])
 def test_three_index_chart_finds_the_generic_root_count(kind, order):
@@ -535,6 +543,20 @@ def test_masked_polish_keeps_each_support(kind):
     assert got.keys() == {s for s, pairs in want.items() if pairs}
     for s, vals in got.items():
         np.testing.assert_allclose(vals, [p.value for p in want[s]], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["H", "Z"])
+def test_masked_polish_keeps_each_support_whatever_the_solver_returns(kind, monkeypatch):
+    # the per-row lstsq fallback of _solve_steps solves a singular system in
+    # least squares, which need not keep the support blocks: a solver that
+    # moves the masked entries (unit rows of J) must not move the zeros
+    solve = eigen_mod._solve_steps
+
+    def leaky(J, F):
+        return np.where((J == np.eye(J.shape[1])).all(axis=2), 1e-200, solve(J, F))
+
+    monkeypatch.setattr(eigen_mod, "_solve_steps", leaky)
+    test_masked_polish_keeps_each_support(kind)
 
 
 def test_solved_exhaustively_runs_no_multistart(monkeypatch):

@@ -1,12 +1,15 @@
 """Spectrum enumeration, slack admissibility, verification, minimum."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import paretospec.eigen as eigen_mod
-from paretospec import fixtures
+import paretospec.spectrum as spectrum_mod
+from paretospec import cli, fixtures, serialize_document, tensor_to_document
+from paretospec.copositivity import classify
 from paretospec.eigen import VECTOR_DEDUP_TOL, SolverConfig, solve_interior, solved_exhaustively
 from paretospec.spectrum import (
     _BOUNDARY_EPS,
@@ -18,7 +21,7 @@ from paretospec.spectrum import (
     pareto_spectrum,
     verify_pareto_pair,
 )
-from paretospec.tensor import Sphere, build, embed, knorm
+from paretospec.tensor import Sphere, _ipow, build, embed, knorm
 
 from conftest import dense_contract, dense_from_entries, random_entries, random_symmetric_tensor
 
@@ -135,20 +138,61 @@ def test_verify_is_scale_invariant():
 
 def test_verify_input_validation():
     t, _ = fixtures.shifted_cubic()
-    with pytest.raises(ValueError):
-        verify_pareto_pair(t, 1.0, np.zeros(2), "H")
-    with pytest.raises(ValueError):
-        verify_pareto_pair(t, 1.0, np.array([1.0, np.inf]), "H")
-    with pytest.raises(ValueError):
-        verify_pareto_pair(t, 1.0, np.array([1.0]), "H")
-    with pytest.raises(ValueError):
+    for y in (np.zeros(2), np.array([-0.0, 0.0]), np.array([-0.0, -0.0])):
+        with pytest.raises(ValueError, match="vector must be nonzero"):
+            verify_pareto_pair(t, 1.0, y, "H")
+    for bad in (np.nan, np.inf, -np.inf):
+        for y in (np.array([1.0, bad]), np.array([bad, -1.0]), np.array([0.0, bad])):
+            with pytest.raises(ValueError, match="vector has non-finite entries"):
+                verify_pareto_pair(t, 1.0, y, "H")
+    for y in (np.array([1.0]), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match="incompatible with dimension 2"):
+            verify_pareto_pair(t, 1.0, y, "H")
+    with pytest.raises(ValueError, match="kind must be"):
         verify_pareto_pair(t, 1.0, np.array([1.0, 1.0]), "X")
-    with pytest.raises(ValueError):
-        verify_pareto_pair(t, 1.0, np.array([1.0, 1.0]), "H", tol=0.0)
+    for tol in (0.0, -1e-8, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            verify_pareto_pair(t, 1.0, np.array([1.0, 1.0]), "H", tol=tol)
     # NaN compares false with every tolerance, so a non-finite value would pass
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="value must be finite"):
             verify_pareto_pair(t, value, np.array([0.0, 1.0]), "H")
+
+
+def _verify_reference(t, value, y, kind, tol):
+    """verify_pareto_pair's report fields as computed with one numpy pass per check."""
+    sph = Sphere(kind, t.order)
+    c, level = t.apply_contract(y), np.sum(_ipow(y, sph.k), axis=-1)
+    lhs = float(y @ c)
+    rhs = value * sph.norm_power(float(level))
+    slacks = c - value * sph.rhs(y, level)
+    v = (float(max(0.0, -y.min())), abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)), float(max(0.0, -slacks.min())))
+    failed = next((name for name, x in zip(("nonnegativity", "value-equation", "complement-slacks"), v) if x > tol), None)
+    return failed is None, failed, max(v), *v, slacks
+
+
+def test_verify_reports_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(33)
+    failed = set()
+    for case in range(400):
+        order, dim, kind = int(rng.integers(2, 6)), int(rng.integers(1, 6)), ("H", "Z")[case % 2]
+        t = random_symmetric_tensor(rng, order, dim) if case % 3 else build(order, dim, random_entries(rng, order, dim, 6))
+        y = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 4)
+        if case % 4 == 0:
+            y = np.abs(y)
+        y[rng.uniform(size=dim) < 0.3] = rng.choice([0.0, -0.0])
+        if not y.any():
+            y[0] = 1.0
+        value, tol = float(rng.normal()), float(10.0 ** rng.uniform(-12, 0))
+        rep = verify_pareto_pair(t, value, y, kind, tol=tol)
+        want = _verify_reference(t, value, y, kind, tol)
+        got = (rep.ok, rep.failed_condition, rep.worst_violation, rep.nonneg_violation, rep.value_violation,
+               rep.slack_violation, rep.slacks)
+        assert got[:2] == want[:2]
+        assert [float(x).hex() for x in got[2:6]] == [float(x).hex() for x in want[2:6]]
+        assert got[6].tobytes() == want[6].tobytes()
+        failed.add(rep.failed_condition)
+    assert failed == {None, "nonnegativity", "value-equation", "complement-slacks"}
 
 
 def test_matrix_spectrum_matches_principal_submatrix_oracle():
@@ -359,6 +403,46 @@ def test_certificates_are_the_array_rows():
                     assert got.tobytes() == want.tobytes()
                 assert not spec.slacks[r][on].any()
     assert any(c.boundary for c in spec.items)
+
+
+def test_certificates_are_built_on_first_read(monkeypatch, tmp_path):
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(pareto_spectrum(*args, **kwargs))
+        return made[-1]
+
+    # min_pareto, and through it classify, looks pareto_spectrum up in its module
+    monkeypatch.setattr(spectrum_mod, "pareto_spectrum", recording)
+    monkeypatch.setattr(cli, "pareto_spectrum", recording)
+    t, _ = fixtures.shifted_cubic()
+    path = tmp_path / "cubic.json"
+    path.write_text(serialize_document(tensor_to_document(t, "cubic")))
+    recording(t, "H", FAST)
+    min_pareto(t, "Z", FAST)
+    classify(t, config=FAST)
+    for command in ("spectrum", "copositive"):
+        assert cli.main([command, str(path), "--no-timing"]) == 0
+    assert len(made) == 8
+    assert not any("items" in vars(spec) for spec in made)
+    spec = made[0]
+    assert spec.items is spec.items and "items" in vars(spec)
+    assert [c.value for c in spec.items] == spec.values()
+
+
+def test_unread_certificates_are_not_kept():
+    # 65,535 pairs: the arrays take about 17 MB, their certificates three
+    # times that again
+    t = build(4, 16, [((i,) * 4, 1.0 + i / 16) for i in range(16)])
+    tracemalloc.start()
+    try:
+        spec = pareto_spectrum(t, "Z")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spec.eigenvalues.size == 2**16 - 1 and spec.complete
+    assert "items" not in vars(spec)
+    assert retained <= 25e6
 
 
 def test_items_sorted_by_cardinality_then_subset():
